@@ -4,8 +4,8 @@ operating-point optimization."""
 
 from .model import (DegenerateLinkError, InfoMetrics, KeyRates, LinkMetrics,
                     binary_entropy, eve_base_visibility, eve_usable_visibility,
-                    info_metrics, key_rates, link_metrics, section_click_prob,
-                    transmittance)
+                    evaluate, info_metrics, key_rates, link_metrics,
+                    section_click_prob, transmittance)
 from .montecarlo import (DegenerateSampleError, McEstimate, TrialConfig,
                          simulate, zscore)
 from .optimize import (BEST_LINE, DETECTOR_LINES, GOOD_LINE, NORMAL_LINE,
@@ -25,8 +25,8 @@ __all__ = [
     "InvalidParameterError",
     "LinkMetrics", "InfoMetrics", "KeyRates", "DegenerateLinkError",
     "transmittance", "binary_entropy", "section_click_prob", "link_metrics",
-    "eve_base_visibility", "eve_usable_visibility", "info_metrics",
-    "key_rates",
+    "eve_base_visibility", "eve_usable_visibility", "evaluate",
+    "info_metrics", "key_rates",
     "TrialConfig", "McEstimate", "DegenerateSampleError", "simulate",
     "zscore",
     "DetectorLine", "MaxDistanceResult", "SourcePenalty", "SweepPoint",

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import montecarlo, optimize
-from .model import info_metrics, key_rates, link_metrics
+from .model import evaluate, link_metrics
 from .optimize import (DETECTOR_LINES, DetectorLine, NoKeyPossibleError,
                        OutOfModelError, UnsupportedReconciliationError,
                        max_distance_approx, max_distance_exact)
@@ -23,6 +23,8 @@ from .params import (DEFAULT_ALPHA_DB_PER_KM, DEFAULT_DARK_PROB, DEFAULT_ETA,
                      InvalidParameterError, RelayConfig)
 
 Z_THRESHOLD = 4.0
+# Points per distance or efficiency axis; checked before a grid is built.
+MAX_GRID_POINTS = 1_000_000
 
 _DEFAULTS = {
     "alpha": DEFAULT_ALPHA_DB_PER_KM,
@@ -50,22 +52,55 @@ def _json_safe(obj):
     return obj
 
 
-def _param_comment(params: dict) -> str:
-    return ("# alpha=" + _fmt(params["alpha"]) + " eta=" + _fmt(params["eta"])
-            + " dark=" + _fmt(params["dark"]) + " vopt=" + _fmt(params["vopt"]))
+def _csv_field(x) -> str:
+    if x is None:
+        return ""
+    return str(x) if isinstance(x, int) else _fmt(x)
 
 
-def _csv(params: dict, header: list[str], rows: list[list[str]],
-         comments: list[str] | None = None) -> str:
-    lines = [_param_comment(params)]
-    lines.extend(comments or [])
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+def _json_value(x) -> str:
+    """A row value (int, float or None) exactly as
+    ``json.dumps(_json_safe(x))`` writes it."""
+    if isinstance(x, float):
+        return repr(float(_fmt(x))) if math.isfinite(x) else "null"
+    return "null" if x is None else str(x)
+
+
+def _json_rows(header: list[str], rows: list) -> str:
+    """Row objects as ``json.dumps(..., indent=2)`` nests them one level deep,
+    written in one pass instead of by the pure-Python indenting encoder."""
+    if not rows:
+        return "[]"
+    keys = ["      " + json.dumps(k) + ": " for k in header]
+    objects = ("    {\n" + ",\n".join([k + _json_value(v)
+                                        for k, v in zip(keys, row)])
+               + "\n    }" for row in rows)
+    return "[\n" + ",\n".join(objects) + "\n  ]"
+
+
+def _table(fmt: str, params: dict, header: list[str], rows: list,
+           comments: list[str] | None = None,
+           fields: dict | None = None) -> str:
+    """The one writer of every subcommand's output.
+
+    CSV: a parameter comment, ``comments``, the header and one line per row.
+    JSON: ``json.dumps(_json_safe({"params": params, **fields}), indent=2)``
+    where ``fields`` defaults to ``{"rows": rows}`` and the ``rows`` list
+    stands for one object per row keyed by ``header``.
+    """
+    if fmt == "json":
+        fields = {"params": params,
+                  **(fields if fields is not None else {"rows": rows})}
+        body = ",\n".join(
+            "  " + json.dumps(key) + ": "
+            + (_json_rows(header, rows) if value is rows else
+               json.dumps(_json_safe(value), indent=2).replace("\n", "\n  "))
+            for key, value in fields.items())
+        return "{\n" + body + "\n}\n"
+    lines = ["# " + " ".join(k + "=" + _fmt(v) for k, v in params.items()),
+             *(comments or []), ",".join(header)]
+    lines.extend(",".join(map(_csv_field, row)) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def _json_doc(payload: dict) -> str:
-    return json.dumps(_json_safe(payload), indent=2) + "\n"
 
 
 def parse_sections(spec: str) -> list[int]:
@@ -90,14 +125,23 @@ def parse_sections(spec: str) -> list[int]:
 
 
 def inclusive_grid(lo: float, hi: float, step: float) -> list[float]:
-    """Inclusive arithmetic grid; empty when hi < lo."""
+    """Inclusive arithmetic grid of at most MAX_GRID_POINTS; empty when
+    hi < lo."""
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise InvalidParameterError(
+            f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
     if step <= 0:
         raise InvalidParameterError(f"grid step must be > 0, got {step}")
     if lo < 0:
         raise InvalidParameterError(f"grid start must be >= 0, got {lo}")
     if hi < lo:
         return []
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        raise InvalidParameterError(
+            f"grid from {lo} to {hi} by {step} exceeds "
+            f"{MAX_GRID_POINTS} points")
+    count = int(math.floor(span)) + 1
     return [lo + i * step for i in range(count)]
 
 
@@ -145,45 +189,29 @@ def _resolve_params(args: argparse.Namespace) -> dict:
 def _cmd_visibility(args, params, channel, detector):
     sections = parse_sections(args.sections)
     grid = inclusive_grid(args.dmin, args.dmax, args.dstep)
-    rows = []
-    for n in sections:
-        for d in grid:
-            lm = link_metrics(RelayConfig(n, d, channel, detector))
-            rows.append((n, d, lm.v_ab))
-    if args.format == "json":
-        payload = {"params": params,
-                   "rows": [{"n": n, "distance_km": d, "v_ab": v}
-                            for n, d, v in rows]}
-        return _json_doc(payload), 0
-    csv_rows = [[str(n), _fmt(d), _fmt(v)] for n, d, v in rows]
-    return _csv(params, ["n", "distance_km", "v_ab"], csv_rows), 0
+    rows = [(n, d, link_metrics(RelayConfig(n, d, channel, detector)).v_ab)
+            for n in sections for d in grid]
+    return _table(args.format, params, ["n", "distance_km", "v_ab"], rows), 0
 
 
 def _cmd_keyrate(args, params, channel, detector):
     sections = parse_sections(args.sections)
-    if args.reconciliation == "reverse" and sections != [1]:
+    reverse = args.reconciliation == "reverse"
+    if reverse and sections != [1]:
         raise UnsupportedReconciliationError(
             "reverse reconciliation requires --sections 1")
     grid = inclusive_grid(args.dmin, args.dmax, args.dstep)
     rows = []
     for n in sections:
         for d in grid:
-            cfg = RelayConfig(n, d, channel, detector)
-            lm = link_metrics(cfg)
-            im = info_metrics(cfg)
-            kr = key_rates(cfg)
-            rate = (kr.rate_reverse if args.reconciliation == "reverse"
-                    else kr.rate_forward)
+            lm, im, kr = evaluate(RelayConfig(n, d, channel, detector))
+            rate = kr.rate_reverse if reverse else kr.rate_forward
             rows.append((n, d, rate, im.i_ab, im.i_ae, im.i_be, lm.p_total))
     header = ["n", "distance_km", "rate_bits_per_pulse", "i_ab", "i_ae",
               "i_be", "p_total"]
-    if args.format == "json":
-        payload = {"params": params,
-                   "reconciliation": args.reconciliation,
-                   "rows": [dict(zip(header, row)) for row in rows]}
-        return _json_doc(payload), 0
-    csv_rows = [[str(r[0])] + [_fmt(v) for v in r[1:]] for r in rows]
-    return _csv(params, header, csv_rows), 0
+    return _table(args.format, params, header, rows,
+                  fields={"reconciliation": args.reconciliation,
+                          "rows": rows}), 0
 
 
 def _cmd_maxdist(args, params, channel, detector):
@@ -204,19 +232,11 @@ def _cmd_maxdist(args, params, channel, detector):
 
     ranking = [(n, e if e is not None else a) for n, e, a in rows]
     n_star, d_star = max(ranking, key=lambda item: (item[1], -item[0]))
-
-    if args.format == "json":
-        payload = {"params": params,
-                   "rows": [{"n": n, "d_max_exact_km": e, "d_max_approx_km": a}
-                            for n, e, a in rows],
-                   "summary": {"n_star": n_star, "d_max_km": d_star}}
-        return _json_doc(payload), 0
-    comments = [f"# summary: n_star={n_star} d_max_km={_fmt(d_star)}"]
-    csv_rows = [[str(n),
-                 "" if e is None else _fmt(e),
-                 "" if a is None else _fmt(a)] for n, e, a in rows]
-    return _csv(params, ["n", "d_max_exact_km", "d_max_approx_km"],
-                csv_rows, comments), 0
+    return _table(args.format, params,
+                  ["n", "d_max_exact_km", "d_max_approx_km"], rows,
+                  [f"# summary: n_star={n_star} d_max_km={_fmt(d_star)}"],
+                  {"rows": rows,
+                   "summary": {"n_star": n_star, "d_max_km": d_star}}), 0
 
 
 def _make_line(args) -> DetectorLine:
@@ -236,25 +256,18 @@ def _cmd_detector_sweep(args, params, channel, detector):
         raise InvalidParameterError("empty eta grid")
     result = optimize.detector_sweep(args.distance, sections, line, eta_grid,
                                      channel=channel)
-    header = ["n", "eta", "dark_prob", "rate"]
-    if args.format == "json":
-        payload = {"params": params,
-                   "line": {"name": line.name, "a_coeff": line.a_coeff,
-                            "b_coeff": line.b_coeff},
-                   "distance_km": args.distance,
-                   "rows": [{"n": p.n_sections, "eta": p.eta,
-                             "dark_prob": p.dark_prob, "rate": p.rate}
-                            for p in result.points],
-                   "best": {str(n): {"eta": p.eta, "dark_prob": p.dark_prob,
-                                     "rate": p.rate}
-                            for n, p in sorted(result.best_by_n.items())}}
-        return _json_doc(payload), 0
+    rows = [(p.n_sections, p.eta, p.dark_prob, p.rate) for p in result.points]
+    best = sorted(result.best_by_n.items())
     comments = [f"# best: n={n} eta={_fmt(p.eta)} dark_prob={_fmt(p.dark_prob)}"
-                f" rate={_fmt(p.rate)}"
-                for n, p in sorted(result.best_by_n.items())]
-    csv_rows = [[str(p.n_sections), _fmt(p.eta), _fmt(p.dark_prob),
-                 _fmt(p.rate)] for p in result.points]
-    return _csv(params, header, csv_rows, comments), 0
+                f" rate={_fmt(p.rate)}" for n, p in best]
+    fields = {"line": {"name": line.name, "a_coeff": line.a_coeff,
+                       "b_coeff": line.b_coeff},
+              "distance_km": args.distance,
+              "rows": rows,
+              "best": {str(n): {"eta": p.eta, "dark_prob": p.dark_prob,
+                                "rate": p.rate} for n, p in best}}
+    return _table(args.format, params, ["n", "eta", "dark_prob", "rate"],
+                  rows, comments, fields), 0
 
 
 def _cmd_mc(args, params, channel, detector):
@@ -288,8 +301,7 @@ def _cmd_mc(args, params, channel, detector):
     finite = [z for z in (z_p, z_v) if z is not None]
     passed = all(abs(z) <= Z_THRESHOLD for z in finite)
 
-    payload = {
-        "params": params,
+    report = {
         "config": {"n_sections": args.sections, "distance_km": args.distance,
                    "trials": args.trials, "seed": args.seed,
                    "chunk_size": args.chunk_size},
@@ -303,23 +315,17 @@ def _cmd_mc(args, params, channel, detector):
         "pass": passed,
         "generator": montecarlo.GENERATOR_METADATA,
     }
-    return _json_doc(payload), 0 if passed else 1
+    return _table("json", params, [], [], fields=report), 0 if passed else 1
 
 
 def _cmd_source_penalty(args, params, channel, detector):
     penalty = optimize.source_penalty(args.sources, args.emission_prob,
                                       channel.alpha_db_per_km)
-    if args.format == "json":
-        payload = {"params": params,
-                   "m_sources": args.sources,
-                   "emission_prob": args.emission_prob,
-                   "rate_factor": penalty.rate_factor,
-                   "distance_loss_km": penalty.distance_loss_km}
-        return _json_doc(payload), 0
     header = ["m_sources", "emission_prob", "rate_factor", "distance_loss_km"]
-    row = [str(args.sources), _fmt(args.emission_prob),
-           _fmt(penalty.rate_factor), _fmt(penalty.distance_loss_km)]
-    return _csv(params, header, [row]), 0
+    row = (args.sources, args.emission_prob, penalty.rate_factor,
+           penalty.distance_loss_km)
+    return _table(args.format, params, header, [row],
+                  fields=dict(zip(header, row))), 0
 
 
 _HANDLERS = {
@@ -436,10 +442,7 @@ def main(argv: list[str] | None = None) -> int:
         detector = DetectorParams(params["eta"], params["dark"])
         text, code = _HANDLERS[args.cmd](args, params, channel, detector)
     except (InvalidParameterError, UnsupportedReconciliationError,
-            OutOfModelError, NoKeyPossibleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            OutOfModelError, NoKeyPossibleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_output(text, args.out)

@@ -86,17 +86,9 @@ def _station_counts(n: int) -> tuple[int, int]:
     return n - 2 * n_bell, n_bell
 
 
-def _channel_visibility(config: RelayConfig) -> float:
-    """Optical visibility across the whole chain: v_opt per section."""
-    return config.channel.v_opt ** config.n_sections
-
-
 def section_click_prob(config: RelayConfig) -> float:
     """Accepted-click probability of a single station watching one section."""
-    d = config.detector.dark_prob
-    s = (transmittance(config.channel.alpha_db_per_km, config.distance_km)
-         ** (1.0 / config.n_sections)) * config.detector.eta
-    return (s + (1.0 - s) * 2.0 * d) * (1.0 - d)
+    return link_metrics(config).p_click
 
 
 def link_metrics(config: RelayConfig) -> LinkMetrics:
@@ -116,7 +108,7 @@ def link_metrics(config: RelayConfig) -> LinkMetrics:
     n_term, n_bell = _station_counts(n)
 
     p_signal = (0.5 ** ((n + 1) // 2)
-                * _channel_visibility(config)
+                * config.channel.v_opt ** n
                 * (s * (1.0 - dk)) ** n)
     # Bell acceptance: two independent clicks, minus the indistinguishable
     # merged outcomes, plus the merged ones rescued by a dark count.
@@ -142,6 +134,21 @@ def eve_base_visibility(v_channel: float) -> float:
     return math.sqrt(1.0 - v_channel * v_channel)
 
 
+def _eve_usable_visibility(config: RelayConfig, lm: LinkMetrics) -> float:
+    dk = config.detector.dark_prob
+    s = lm.t_section * config.detector.eta
+    denom = lm.p_click * lm.p_click - (1.0 - 2.0 * dk) * 0.5 * s * s
+    if denom <= 0.0:
+        raise DegenerateLinkError(
+            "Bell acceptance vanished; no usable visibility is defined")
+    _, n_bell = _station_counts(config.n_sections)
+    raw = (config.channel.v_opt ** config.n_sections
+           * (0.5 * s * s / denom) ** n_bell)
+    # The ratio overshoots 1 by O(dark_prob) at short distance with a
+    # near-perfect channel; clamp to keep the visibility physical.
+    return min(raw, 1.0)
+
+
 def eve_usable_visibility(config: RelayConfig) -> float:
     """Visibility of the error channel available to Eve.
 
@@ -150,20 +157,43 @@ def eve_usable_visibility(config: RelayConfig) -> float:
     dilutes the usable visibility by the ratio of resolved two-photon outcomes
     to all accepted outcomes.
     """
+    return _eve_usable_visibility(config, link_metrics(config))
+
+
+def evaluate(config: RelayConfig) -> tuple[LinkMetrics, InfoMetrics, KeyRates]:
+    """Link, information and rate metrics of one configuration, from a single
+    ``link_metrics`` evaluation; see ``info_metrics`` and ``key_rates``."""
+    lm = link_metrics(config)
     n = config.n_sections
-    dk = config.detector.dark_prob
-    s = (transmittance(config.channel.alpha_db_per_km, config.distance_km)
-         ** (1.0 / n)) * config.detector.eta
-    p_click = (s + (1.0 - s) * 2.0 * dk) * (1.0 - dk)
-    denom = p_click * p_click - (1.0 - 2.0 * dk) * 0.5 * s * s
-    if denom <= 0.0:
-        raise DegenerateLinkError(
-            "Bell acceptance vanished; no usable visibility is defined")
-    _, n_bell = _station_counts(n)
-    raw = _channel_visibility(config) * (0.5 * s * s / denom) ** n_bell
-    # The ratio overshoots 1 by O(dark_prob) at short distance with a
-    # near-perfect channel; clamp to keep the visibility physical.
-    return min(raw, 1.0)
+    if lm.degenerate:
+        im = InfoMetrics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, degenerate=True)
+    else:
+        eta = config.detector.eta
+        dk = config.detector.dark_prob
+        s = lm.t_section * eta
+
+        i_ab = 1.0 - binary_entropy(0.5 * (1.0 + lm.v_ab))
+
+        v_ab_e = _eve_usable_visibility(config, lm)
+        eve_vis = eve_base_visibility(v_ab_e)
+
+        # Eve learns nothing from the sifted bits that exist only thanks to a
+        # dark count inside a terminal laboratory.
+        p_photonpass = (lm.t_section * (eta + (1.0 - eta) * 2.0 * dk)
+                        / (s + (1.0 - s) * 2.0 * dk))
+        v_ae_n = eta * eve_vis / (eta + (1.0 - eta) * 2.0 * dk)
+        i_be = p_photonpass * (1.0 - binary_entropy(0.5 * (1.0 + v_ae_n)))
+
+        if n % 2 == 0:
+            i_ae = i_be
+        else:
+            i_ae = 1.0 - binary_entropy(0.5 + 0.5 * eve_vis)
+        im = InfoMetrics(i_ab, i_ae, i_be, v_ab_e, p_photonpass, v_ae_n)
+
+    rate_forward = max(0.0, lm.p_total * (im.i_ab - im.i_ae))
+    rate_reverse = (max(0.0, lm.p_total * (im.i_ab - im.i_be)) if n == 1
+                    else None)
+    return lm, im, KeyRates(rate_forward, rate_reverse)
 
 
 def info_metrics(config: RelayConfig) -> InfoMetrics:
@@ -173,33 +203,7 @@ def info_metrics(config: RelayConfig) -> InfoMetrics:
     dark-count-free upper bound (generous to Eve).  For even section counts
     the link is symmetric between the two ends and i_ae equals i_be.
     """
-    lm = link_metrics(config)
-    if lm.degenerate:
-        return InfoMetrics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, degenerate=True)
-
-    n = config.n_sections
-    eta = config.detector.eta
-    dk = config.detector.dark_prob
-    s = lm.t_section * eta
-
-    i_ab = 1.0 - binary_entropy(0.5 * (1.0 + lm.v_ab))
-
-    v_ab_e = eve_usable_visibility(config)
-    eve_vis = math.sqrt(max(0.0, 1.0 - v_ab_e * v_ab_e))
-
-    # Eve learns nothing from the sifted bits that exist only thanks to a
-    # dark count inside a terminal laboratory.
-    p_photonpass = (lm.t_section * (eta + (1.0 - eta) * 2.0 * dk)
-                    / (s + (1.0 - s) * 2.0 * dk))
-    v_ae_n = eta * eve_vis / (eta + (1.0 - eta) * 2.0 * dk)
-    i_be = p_photonpass * (1.0 - binary_entropy(0.5 * (1.0 + v_ae_n)))
-
-    if n % 2 == 0:
-        i_ae = i_be
-    else:
-        i_ae = 1.0 - binary_entropy(0.5 + 0.5 * eve_vis)
-
-    return InfoMetrics(i_ab, i_ae, i_be, v_ab_e, p_photonpass, v_ae_n)
+    return evaluate(config)[1]
 
 
 def key_rates(config: RelayConfig) -> KeyRates:
@@ -210,10 +214,4 @@ def key_rates(config: RelayConfig) -> KeyRates:
     single-section link, where Bob's local dark counts dilute Eve's knowledge
     of his bit; for relays the field is None.
     """
-    lm = link_metrics(config)
-    im = info_metrics(config)
-    rate_forward = max(0.0, lm.p_total * (im.i_ab - im.i_ae))
-    rate_reverse = None
-    if config.n_sections == 1:
-        rate_reverse = max(0.0, lm.p_total * (im.i_ab - im.i_be))
-    return KeyRates(rate_forward, rate_reverse)
+    return evaluate(config)[2]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import info_metrics, key_rates, link_metrics
+from .model import evaluate, key_rates
 from .params import (ChannelParams, DetectorParams, InvalidParameterError,
                      RelayConfig)
 
@@ -85,9 +85,7 @@ class DetectorSweepResult:
 def _signed_rate(n: int, distance_km: float, channel: ChannelParams,
                  detector: DetectorParams, reconciliation: str) -> float:
     """p_total * (i_ab - i_eve) without the clamp at zero."""
-    cfg = RelayConfig(n, distance_km, channel, detector)
-    lm = link_metrics(cfg)
-    im = info_metrics(cfg)
+    lm, im, _ = evaluate(RelayConfig(n, distance_km, channel, detector))
     i_eve = im.i_be if reconciliation == "reverse" else im.i_ae
     return lm.p_total * (im.i_ab - i_eve)
 

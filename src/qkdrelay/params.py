@@ -2,6 +2,7 @@
 simulator and the optimizer."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 # Baseline operating point: 1550 nm telecom fibre with InGaAs APD detectors.
@@ -19,7 +20,7 @@ class InvalidParameterError(ValueError):
 class ChannelParams:
     """Optical channel description.
 
-    alpha_db_per_km: fibre attenuation in dB/km (> 0).
+    alpha_db_per_km: fibre attenuation in dB/km (finite, > 0).
     v_opt: single-section optical visibility in (0, 1]; the fraction of
         pulses for which the optics behave perfectly, the rest arriving
         as white noise.
@@ -29,9 +30,9 @@ class ChannelParams:
     v_opt: float = DEFAULT_V_OPT
 
     def __post_init__(self) -> None:
-        if not self.alpha_db_per_km > 0:
-            raise InvalidParameterError(
-                f"alpha_db_per_km must be > 0, got {self.alpha_db_per_km}")
+        if not 0 < self.alpha_db_per_km < math.inf:
+            raise InvalidParameterError(f"alpha_db_per_km must be finite "
+                                        f"and > 0, got {self.alpha_db_per_km}")
         if not 0 < self.v_opt <= 1:
             raise InvalidParameterError(
                 f"v_opt must be in (0, 1], got {self.v_opt}")
@@ -74,9 +75,9 @@ class RelayConfig:
         if not isinstance(self.n_sections, int) or self.n_sections < 1:
             raise InvalidParameterError(
                 f"n_sections must be an integer >= 1, got {self.n_sections!r}")
-        if not self.distance_km >= 0:
-            raise InvalidParameterError(
-                f"distance_km must be >= 0, got {self.distance_km}")
+        if not 0 <= self.distance_km < math.inf:
+            raise InvalidParameterError(f"distance_km must be finite and "
+                                        f">= 0, got {self.distance_km}")
 
     @property
     def section_length_km(self) -> float:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qkdrelay
 from qkdrelay import RelayConfig, link_metrics
 from qkdrelay.cli import inclusive_grid, main, parse_sections
 
@@ -39,6 +42,14 @@ def test_inclusive_grid():
     assert inclusive_grid(0.0, 2.0, 1.0) == [0.0, 1.0, 2.0]
     assert inclusive_grid(5.0, 4.0, 1.0) == []
     assert len(inclusive_grid(0.02, 0.30, 0.01)) == 29
+
+
+def test_inclusive_grid_caps_point_count(monkeypatch):
+    from qkdrelay import InvalidParameterError, cli
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
+    assert len(inclusive_grid(0.0, 9.0, 1.0)) == 10
+    with pytest.raises(InvalidParameterError):
+        inclusive_grid(0.0, 10.0, 1.0)
 
 
 # ---------------------------------------------------------------- visibility
@@ -99,6 +110,22 @@ def test_keyrate_columns_and_reverse_dominance(capsys):
                       "i_ae", "i_be", "p_total"]
     for row_f, row_r in zip(rows_f, rows_r):
         assert float(row_r[2]) >= float(row_f[2])
+
+
+def test_keyrate_evaluates_each_link_once_per_cell(monkeypatch, capsys):
+    from qkdrelay import model
+    calls = []
+    real = model.link_metrics
+
+    def counted(config):
+        calls.append(config)
+        return real(config)
+
+    monkeypatch.setattr(model, "link_metrics", counted)
+    code, _, _ = run_cli(capsys, "keyrate", "--sections", "1..3",
+                         "--dmax", "10")
+    assert code == 0
+    assert len(calls) == 3 * 11
 
 
 def test_keyrate_reverse_needs_single_section(capsys):
@@ -337,11 +364,33 @@ def test_invalid_parameter_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["keyrate", "--dmax", "inf"],
+    ["visibility", "--dstep", "nan"],
+    ["visibility", "--dmin", "nan", "--dmax", "1"],
+    ["detector-sweep", "--eta-max", "inf"],
+    ["keyrate", "--dmax", "1e12", "--dstep", "1e-3"],
+    ["keyrate", "--alpha", "inf", "--dmax", "1"],
+    ["maxdist", "--alpha", "inf"],
+    ["detector-sweep", "--distance", "inf"],
+    ["mc", "--distance", "nan", "--trials", "10"],
+])
+def test_non_finite_or_oversized_input_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_module_entry_point():
+    # the child imports the same package as this test, installed or not
+    src = str(Path(qkdrelay.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "qkdrelay", "source-penalty", "--sources",
          "2", "--format", "json"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["rate_factor"] == pytest.approx(0.01)

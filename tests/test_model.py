@@ -6,7 +6,7 @@ import pytest
 import reference as ref
 from qkdrelay import (ChannelParams, DegenerateLinkError, DetectorParams,
                       InvalidParameterError, RelayConfig, binary_entropy,
-                      eve_base_visibility, eve_usable_visibility,
+                      evaluate, eve_base_visibility, eve_usable_visibility,
                       info_metrics, key_rates, link_metrics,
                       section_click_prob, transmittance)
 
@@ -290,6 +290,30 @@ def test_info_fields_within_unit_interval():
 
 
 # ------------------------------------------------------------------ key rates
+
+def test_evaluate_equals_single_purpose_calls():
+    def outcome(fn, cfg):
+        try:
+            return fn(cfg)
+        except DegenerateLinkError:
+            return DegenerateLinkError
+
+    def separately(cfg):
+        return (link_metrics(cfg), info_metrics(cfg), key_rates(cfg))
+
+    rng = np.random.default_rng(2468)
+    degenerate = 0
+    for n in range(1, 21):
+        for dark_zero, d_hi in ((False, 800.0), (True, 40000.0)):
+            for _ in range(50):
+                cfg = ref.random_config(rng, n_lo=n, n_hi=n, d_hi=d_hi,
+                                        dark_zero=dark_zero)
+                got = outcome(evaluate, cfg)
+                assert got == outcome(separately, cfg)
+                if got is not DegenerateLinkError:
+                    degenerate += got[0].degenerate
+    assert degenerate > 100
+
 
 def test_key_rate_zero_distance():
     kr = key_rates(make_config(1, 0.0))

@@ -17,6 +17,7 @@ def test_defaults_match_baseline_operating_point():
 
 @pytest.mark.parametrize("alpha,v_opt", [
     (0.0, 0.99), (-0.1, 0.99), (0.25, 0.0), (0.25, -0.5), (0.25, 1.1),
+    (float("inf"), 0.99), (float("nan"), 0.99),
 ])
 def test_channel_params_rejects_out_of_range(alpha, v_opt):
     with pytest.raises(InvalidParameterError):
@@ -36,7 +37,8 @@ def test_detector_params_allows_zero_dark():
     assert DetectorParams(0.3, 0.0).dark_prob == 0.0
 
 
-@pytest.mark.parametrize("n,d", [(0, 10.0), (-3, 10.0), (2, -1.0)])
+@pytest.mark.parametrize("n,d", [(0, 10.0), (-3, 10.0), (2, -1.0),
+                                 (2, float("inf")), (2, float("nan"))])
 def test_relay_config_rejects_out_of_range(n, d):
     with pytest.raises(InvalidParameterError):
         RelayConfig(n, d)
