@@ -6,8 +6,7 @@ from .model import (DegenerateLinkError, InfoMetrics, KeyRates, LinkMetrics,
                     binary_entropy, eve_base_visibility, eve_usable_visibility,
                     evaluate, info_metrics, key_rates, link_metrics,
                     section_click_prob, transmittance)
-from .montecarlo import (DegenerateSampleError, McEstimate, TrialConfig,
-                         simulate, zscore)
+from .montecarlo import McEstimate, TrialConfig, simulate, zscore
 from .optimize import (BEST_LINE, DETECTOR_LINES, GOOD_LINE, NORMAL_LINE,
                        DetectorLine, DetectorSweepResult, MaxDistanceResult,
                        NoKeyPossibleError, OutOfModelError, SourcePenalty,
@@ -27,8 +26,7 @@ __all__ = [
     "transmittance", "binary_entropy", "section_click_prob", "link_metrics",
     "eve_base_visibility", "eve_usable_visibility", "evaluate",
     "info_metrics", "key_rates",
-    "TrialConfig", "McEstimate", "DegenerateSampleError", "simulate",
-    "zscore",
+    "TrialConfig", "McEstimate", "simulate", "zscore",
     "DetectorLine", "MaxDistanceResult", "SourcePenalty", "SweepPoint",
     "DetectorSweepResult", "NORMAL_LINE", "GOOD_LINE", "BEST_LINE",
     "DETECTOR_LINES", "UnsupportedReconciliationError", "NoKeyPossibleError",

@@ -15,9 +15,8 @@ from pathlib import Path
 
 from . import montecarlo, optimize
 from .model import evaluate, link_metrics
-from .optimize import (DETECTOR_LINES, DetectorLine, NoKeyPossibleError,
-                       OutOfModelError, UnsupportedReconciliationError,
-                       max_distance_approx, max_distance_exact)
+from .optimize import (DETECTOR_LINES, DetectorLine, OutOfModelError,
+                       UnsupportedReconciliationError)
 from .params import (DEFAULT_ALPHA_DB_PER_KM, DEFAULT_DARK_PROB, DEFAULT_ETA,
                      DEFAULT_V_OPT, ChannelParams, DetectorParams,
                      InvalidParameterError, RelayConfig)
@@ -216,22 +215,15 @@ def _cmd_keyrate(args, params, channel, detector):
 
 def _cmd_maxdist(args, params, channel, detector):
     sections = parse_sections(args.sections)
-    want_exact = args.method in ("exact", "both")
-    want_approx = args.method in ("approx", "both")
     rows = []
     for n in sections:
-        d_exact = (max_distance_exact(n, channel, detector).d_max_km
-                   if want_exact else None)
-        d_approx = None
-        if want_approx:
-            try:
-                d_approx = max_distance_approx(n, channel, detector).d_max_km
-            except NoKeyPossibleError:
-                d_approx = 0.0
+        d_exact = (optimize.max_distance_km(n, channel, detector, "exact")
+                   if args.method != "approx" else None)
+        d_approx = (optimize.max_distance_km(n, channel, detector, "approx")
+                    if args.method != "exact" else None)
         rows.append((n, d_exact, d_approx))
-
-    ranking = [(n, e if e is not None else a) for n, e, a in rows]
-    n_star, d_star = max(ranking, key=lambda item: (item[1], -item[0]))
+    n_star, d_star = optimize.best_section_count(
+        (n, e if e is not None else a) for n, e, a in rows)
     return _table(args.format, params,
                   ["n", "d_max_exact_km", "d_max_approx_km"], rows,
                   [f"# summary: n_star={n_star} d_max_km={_fmt(d_star)}"],
@@ -277,29 +269,13 @@ def _cmd_mc(args, params, channel, detector):
     est = montecarlo.simulate(trial, workers=args.workers)
     lm = link_metrics(relay)
 
-    degenerate = []
-    z_p = z_v = None
-    if est.accepted == 0:
-        # no conditional visibility sample; the count itself still checks
-        degenerate = ["p_total", "v_ab"]
-        se_p = math.sqrt(lm.p_total * (1.0 - lm.p_total) / est.trials)
-        if se_p > 0.0:
-            z_p = (est.p_total_hat - lm.p_total) / se_p
-    else:
-        z_p, z_v = montecarlo.zscore(est, lm.p_total, lm.v_ab)
-        # a sample too small to carry its own variance estimate is flagged,
-        # though the analytic-SE z-score above still applies
-        if est.se_p_total == 0.0:
-            degenerate.append("p_total")
-        if est.se_v_ab == 0.0 or math.isnan(est.se_v_ab):
-            degenerate.append("v_ab")
-        if not math.isfinite(z_p):
-            z_p = None
-        if not math.isfinite(z_v):
-            z_v = None
-
-    finite = [z for z in (z_p, z_v) if z is not None]
-    passed = all(abs(z) <= Z_THRESHOLD for z in finite)
+    z_p, z_v = montecarlo.zscore(est, lm.p_total, lm.v_ab)
+    # an estimator whose own standard error is 0 or undefined is flagged,
+    # though the analytic-SE z-score may still apply
+    degenerate = [name for name, se in (("p_total", est.se_p_total),
+                                        ("v_ab", est.se_v_ab))
+                  if not se > 0.0]
+    passed = all(abs(z) <= Z_THRESHOLD for z in (z_p, z_v) if z is not None)
 
     report = {
         "config": {"n_sections": args.sections, "distance_km": args.distance,
@@ -442,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         detector = DetectorParams(params["eta"], params["dark"])
         text, code = _HANDLERS[args.cmd](args, params, channel, detector)
     except (InvalidParameterError, UnsupportedReconciliationError,
-            OutOfModelError, NoKeyPossibleError, OSError) as exc:
+            OutOfModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _write_output(text, args.out)

@@ -135,15 +135,19 @@ def eve_base_visibility(v_channel: float) -> float:
 
 
 def _eve_usable_visibility(config: RelayConfig, lm: LinkMetrics) -> float:
+    raw = config.channel.v_opt ** config.n_sections
+    _, n_bell = _station_counts(config.n_sections)
+    if n_bell == 0 and not lm.degenerate:
+        # Nothing dilutes the optics.  The Bell ratio is not formed: its
+        # square terms underflow long before p_total does.
+        return raw
     dk = config.detector.dark_prob
     s = lm.t_section * config.detector.eta
     denom = lm.p_click * lm.p_click - (1.0 - 2.0 * dk) * 0.5 * s * s
     if denom <= 0.0:
         raise DegenerateLinkError(
             "Bell acceptance vanished; no usable visibility is defined")
-    _, n_bell = _station_counts(config.n_sections)
-    raw = (config.channel.v_opt ** config.n_sections
-           * (0.5 * s * s / denom) ** n_bell)
+    raw *= (0.5 * s * s / denom) ** n_bell
     # The ratio overshoots 1 by O(dark_prob) at short distance with a
     # near-perfect channel; clamp to keep the visibility physical.
     return min(raw, 1.0)

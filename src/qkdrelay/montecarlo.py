@@ -13,6 +13,7 @@ summed.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,10 +29,6 @@ GENERATOR_METADATA = {
     "algorithm": "philox4x64 (numpy.random.Philox)",
     "substreams": "key = (seed, chunk_index), counter from 0",
 }
-
-
-class DegenerateSampleError(ValueError):
-    """No accepted events: the conditional visibility estimate is undefined."""
 
 
 @dataclass(frozen=True)
@@ -143,8 +140,8 @@ def _run_chunk(model: _PulseModel, size: int, seed: int,
 def simulate(config: TrialConfig, workers: int = 1) -> McEstimate:
     """Run the pulse train and return counts with binomial estimators.
 
-    ``workers`` only controls thread fan-out over chunks; it never changes
-    the result.
+    ``workers`` only controls thread fan-out over chunks, capped at the
+    chunk count and the CPU count; it never changes the result.
     """
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
@@ -157,16 +154,11 @@ def simulate(config: TrialConfig, workers: int = 1) -> McEstimate:
 
     accepted = 0
     correct = 0
-    if workers == 1 or n_chunks == 1:
-        results = map(run, range(n_chunks))
-        for a, c in results:
+    threads = min(workers, n_chunks, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for a, c in pool.map(run, range(n_chunks)):
             accepted += a
             correct += c
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for a, c in pool.map(run, range(n_chunks)):
-                accepted += a
-                correct += c
 
     p_hat = accepted / config.trials
     se_p = math.sqrt(p_hat * (1.0 - p_hat) / config.trials)
@@ -182,7 +174,7 @@ def simulate(config: TrialConfig, workers: int = 1) -> McEstimate:
 
 
 def zscore(est: McEstimate, analytic_p_total: float,
-           analytic_v_ab: float) -> tuple[float, float]:
+           analytic_v_ab: float) -> tuple[float | None, float | None]:
     """Standardized deviations of the estimates from the analytic values.
 
     Standard errors are the binomial ones evaluated at the analytic values
@@ -191,20 +183,18 @@ def zscore(est: McEstimate, analytic_p_total: float,
         z_p = (p_hat - p) / sqrt(p (1 - p) / trials)
         z_v = (v_hat - v) / (2 sqrt(q (1 - q) / accepted)),  q = (1 + v) / 2
 
-    Raises DegenerateSampleError when no event was accepted, since the
-    conditional visibility then has no sample at all.
+    A score is None when it is undefined: z_p when its standard error is 0
+    (the model accepts no events), z_v when no event was accepted or when its
+    standard error is 0 (v = 1) and the estimate differs; an estimate equal
+    to v = 1 scores 0.0.
     """
-    if est.accepted == 0:
-        raise DegenerateSampleError(
-            "no accepted events; visibility z-score is undefined")
     se_p = math.sqrt(analytic_p_total * (1.0 - analytic_p_total) / est.trials)
+    z_p = (est.p_total_hat - analytic_p_total) / se_p if se_p > 0.0 else None
+    if est.accepted == 0:
+        return z_p, None
     q = 0.5 * (1.0 + analytic_v_ab)
     se_v = 2.0 * math.sqrt(q * (1.0 - q) / est.accepted)
-    return (_safe_ratio(est.p_total_hat - analytic_p_total, se_p),
-            _safe_ratio(est.v_ab_hat - analytic_v_ab, se_v))
-
-
-def _safe_ratio(delta: float, se: float) -> float:
-    if se > 0.0:
-        return delta / se
-    return 0.0 if delta == 0.0 else math.copysign(math.inf, delta)
+    delta_v = est.v_ab_hat - analytic_v_ab
+    if se_v > 0.0:
+        return z_p, delta_v / se_v
+    return z_p, 0.0 if delta_v == 0.0 else None

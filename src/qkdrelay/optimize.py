@@ -4,6 +4,7 @@ practical-rate thresholds and the detector efficiency/dark-count tradeoff."""
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .model import evaluate, key_rates
@@ -156,27 +157,38 @@ def max_distance_approx(n: int, channel: ChannelParams,
     return MaxDistanceResult(n, d_max, "approx", "forward")
 
 
-def optimal_sections(channel: ChannelParams, detector: DetectorParams,
-                     n_max: int, method: str = "exact") -> tuple[int, float]:
-    """Scan 1..n_max sections and return (n_star, d_max_km); ties go to the
-    smaller section count (cheaper hardware)."""
-    if not isinstance(n_max, int) or n_max < 1:
-        raise InvalidParameterError(f"n_max must be an integer >= 1, got {n_max!r}")
+def max_distance_km(n: int, channel: ChannelParams, detector: DetectorParams,
+                    method: str) -> float:
+    """Maximum forward key distance of ``n`` sections by ``method``, "exact"
+    (bisection) or "approx" (closed-form estimate, 0 km where the estimate
+    predicts no key)."""
     if method not in ("exact", "approx"):
         raise InvalidParameterError(
             f"method must be 'exact' or 'approx', got {method!r}")
-    n_star, d_star = 1, -math.inf
-    for n in range(1, n_max + 1):
-        if method == "exact":
-            d = max_distance_exact(n, channel, detector).d_max_km
-        else:
-            try:
-                d = max_distance_approx(n, channel, detector).d_max_km
-            except NoKeyPossibleError:
-                d = 0.0
-        if d > d_star:
-            n_star, d_star = n, d
-    return n_star, d_star
+    if method == "exact":
+        return max_distance_exact(n, channel, detector).d_max_km
+    try:
+        return max_distance_approx(n, channel, detector).d_max_km
+    except NoKeyPossibleError:
+        return 0.0
+
+
+def best_section_count(cutoffs: Iterable[tuple[int, float]],
+                       ) -> tuple[int, float]:
+    """The (n, d_max_km) pair of ``cutoffs`` with the largest distance; ties
+    go to the smaller section count (cheaper hardware)."""
+    return max(cutoffs, key=lambda item: (item[1], -item[0]))
+
+
+def optimal_sections(channel: ChannelParams, detector: DetectorParams,
+                     n_max: int, method: str = "exact") -> tuple[int, float]:
+    """Scan 1..n_max sections and return (n_star, d_max_km) as
+    ``best_section_count`` picks it."""
+    if not isinstance(n_max, int) or n_max < 1:
+        raise InvalidParameterError(f"n_max must be an integer >= 1, got {n_max!r}")
+    return best_section_count(
+        (n, max_distance_km(n, channel, detector, method))
+        for n in range(1, n_max + 1))
 
 
 def threshold_distance(n: int, channel: ChannelParams,
@@ -201,7 +213,10 @@ def detector_dark(eta: float, line: DetectorLine) -> float:
     """Dark-count probability on the tradeoff line at efficiency ``eta``."""
     if not 0 < eta <= 1:
         raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
-    dark = line.a_coeff * math.exp(line.b_coeff * eta)
+    try:
+        dark = line.a_coeff * math.exp(line.b_coeff * eta)
+    except OverflowError:
+        dark = math.inf
     if dark >= 0.5:
         raise OutOfModelError(
             f"dark({eta:g}) = {dark:.4g} on line {line.name!r} is >= 0.5")

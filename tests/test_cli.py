@@ -184,6 +184,31 @@ def test_maxdist_poor_visibility_gives_zero_rows(capsys):
     assert [float(r[1]) for r in rows] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("method", ["exact", "approx"])
+def test_maxdist_summary_is_optimal_sections(capsys, method):
+    from qkdrelay import ChannelParams, DetectorParams, optimal_sections
+    code, out, _ = run_cli(capsys, "maxdist", "--format", "json",
+                           "--sections", "1..30", "--method", method)
+    assert code == 0
+    n_star, d_star = optimal_sections(ChannelParams(), DetectorParams(), 30,
+                                      method)
+    assert json.loads(out)["summary"] == {"n_star": n_star,
+                                          "d_max_km": float(f"{d_star:.10g}")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["maxdist", "--dark", "0", "--method", "exact"],
+    ["maxdist", "--sections", "1..3", "--dark", "1e-300"],
+    ["keyrate", "--dark", "0", "--sections", "1", "--dmin", "6400",
+     "--dmax", "7000", "--dstep", "100"],
+])
+def test_single_section_beyond_square_underflow_exits_zero(capsys, argv):
+    # s*s underflows while p_total = s/2 does not; no Bell station needs it
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out and err == ""
+
+
 # ------------------------------------------------------------- detector sweep
 
 def test_detector_sweep_custom_equals_preset(capsys):

@@ -1,8 +1,10 @@
 """Byte-for-byte golden outputs of every subcommand, in CSV and JSON.
 
-The digests were frozen from the release that preceded the fused model
-evaluation and the single table writer.  A changed byte is a regression to
-fix, not a digest to update.
+The first 22 digests were frozen from the release that preceded the fused
+model evaluation and the single table writer; the dead-link and zero-error
+``mc`` reports and the duplicate-section and 16..20 ``maxdist`` tables from
+the release that preceded moving the z-score and section-count rules out of
+the CLI.  A changed byte is a regression to fix, not a digest to update.
 """
 import hashlib
 
@@ -34,6 +36,15 @@ CASES = {
            "--seed", "7"],
     "mc-nothing-accepted": ["mc", "--sections", "4", "--distance", "200",
                             "--trials", "10000", "--seed", "2"],
+    "mc-dead-link": ["mc", "--dark", "0", "--sections", "2", "--distance",
+                     "20000", "--trials", "1000"],
+    "mc-zero-se-visibility": ["mc", "--dark", "0", "--vopt", "1", "--eta",
+                              "1", "--sections", "1", "--distance", "0",
+                              "--trials", "1000"],
+    "maxdist-duplicate-sections": ["maxdist", "--sections", "1,1,3,2",
+                                   "--method", "both"],
+    "maxdist-exact-16-20": ["maxdist", "--sections", "16..20", "--method",
+                            "exact"],
 }
 
 DIGESTS = {
@@ -81,6 +92,18 @@ DIGESTS = {
         "e8f9aef6e8e214226f47fffe5d5c6a4ce3e2b9a5bb0a09a807681c24314e4470",
     ('mc-nothing-accepted', 'json'):
         "530da948b07a890253c7c1d1190da64b5723947ea5d61ee589bcd77a816daf70",
+    ('mc-dead-link', 'json'):
+        "690a06f847a021f0e56f1177fa6da40f332ac3136bbd88b8f9de48760bd826ff",
+    ('mc-zero-se-visibility', 'json'):
+        "4a0e9b4fd2f997cc0b93f1bda6406bcd7d40d85931a271eec605b7b57f7d2e0f",
+    ('maxdist-duplicate-sections', 'csv'):
+        "35b62face9291ea11169957df9810ddbb93c93c734197fceadc9b10083dc838a",
+    ('maxdist-duplicate-sections', 'json'):
+        "7aa6f0944ebf1588a151b253896fdad05344382ff355b764378b411f083c0487",
+    ('maxdist-exact-16-20', 'csv'):
+        "f260141369bb195a539d5756b7b155e4ca1a44a85bb6b0a01226ea496b308921",
+    ('maxdist-exact-16-20', 'json'):
+        "ac191147616e26638aa3bacf837e23d6e439793f0cd8dc2b44432e1d47d4fe79",
 }
 
 

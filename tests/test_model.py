@@ -199,6 +199,8 @@ def test_eve_usable_visibility_no_bell_stations():
             0.99, rel=1e-12)
         assert eve_usable_visibility(make_config(2, d)) == pytest.approx(
             0.99 ** 2, rel=1e-12)
+    # beyond ~6473 km without dark counts s*s underflows, s itself does not
+    assert eve_usable_visibility(make_config(1, 7000.0, dark=0.0)) == 0.99
 
 
 def test_eve_usable_visibility_three_sections_300km():

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from qkdrelay import (ChannelParams, DegenerateSampleError, DetectorParams,
-                      InvalidParameterError, McEstimate, RelayConfig,
-                      TrialConfig, link_metrics, simulate, zscore)
+from qkdrelay import (ChannelParams, DetectorParams, InvalidParameterError,
+                      McEstimate, RelayConfig, TrialConfig, link_metrics,
+                      simulate, zscore)
+from qkdrelay import montecarlo
 from qkdrelay.montecarlo import GENERATOR_METADATA, MAX_TRIALS
 
 
@@ -114,12 +115,30 @@ def test_zscore_one_standard_error_is_one():
     assert z_v == 0.0
 
 
-def test_zscore_rejects_empty_sample():
+def test_zscore_empty_sample_scores_only_the_count():
     est = McEstimate(trials=1000, accepted=0, correct=0,
                      p_total_hat=0.0, v_ab_hat=math.nan,
                      se_p_total=0.0, se_v_ab=math.nan)
-    with pytest.raises(DegenerateSampleError):
-        zscore(est, 0.1, 0.8)
+    z_p, z_v = zscore(est, 0.1, 0.8)
+    assert z_p == pytest.approx(-0.1 / math.sqrt(0.1 * 0.9 / 1000), rel=1e-12)
+    assert z_v is None
+
+
+def test_zscore_zero_standard_error():
+    # a model that accepts nothing gives the count no score at all
+    est = McEstimate(trials=1000, accepted=0, correct=0,
+                     p_total_hat=0.0, v_ab_hat=math.nan,
+                     se_p_total=0.0, se_v_ab=math.nan)
+    assert zscore(est, 0.0, 0.0) == (None, None)
+    # v = 1 has no spread: a perfect sample scores 0, any error is undefined
+    perfect = McEstimate(trials=1000, accepted=500, correct=500,
+                         p_total_hat=0.5, v_ab_hat=1.0,
+                         se_p_total=0.0158, se_v_ab=0.0)
+    assert zscore(perfect, 0.5, 1.0) == (0.0, 0.0)
+    flawed = McEstimate(trials=1000, accepted=500, correct=499,
+                        p_total_hat=0.5, v_ab_hat=0.996,
+                        se_p_total=0.0158, se_v_ab=0.0057)
+    assert zscore(flawed, 0.5, 1.0) == (0.0, None)
 
 
 def test_zscore_grid_against_analytic():
@@ -145,6 +164,32 @@ def test_zscore_grid_against_analytic():
 def test_trial_config_validation(kwargs):
     with pytest.raises(InvalidParameterError):
         TrialConfig(make_config(1, 10.0), **kwargs)
+
+
+@pytest.mark.parametrize("workers,chunks,expected", [
+    (1, 5, 1), (2, 1, 1), (10**6, 2, 2), (10**6, 100, 3)])
+def test_simulate_caps_thread_count(monkeypatch, workers, chunks, expected):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(montecarlo, "_run_chunk", lambda *args: (0, 0))
+    simulate(TrialConfig(make_config(1, 10.0), trials=chunks, seed=1,
+                         chunk_size=1), workers=workers)
+    assert sizes == [expected]
 
 
 def test_simulate_rejects_bad_worker_count():
