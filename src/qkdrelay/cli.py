@@ -217,9 +217,9 @@ def _cmd_maxdist(args, params, channel, detector):
     sections = parse_sections(args.sections)
     rows = []
     for n in sections:
-        d_exact = (optimize.max_distance_km(n, channel, detector, "exact")
+        d_exact = (optimize.max_distance_exact(n, channel, detector)
                    if args.method != "approx" else None)
-        d_approx = (optimize.max_distance_km(n, channel, detector, "approx")
+        d_approx = (optimize.max_distance_approx(n, channel, detector)
                     if args.method != "exact" else None)
         rows.append((n, d_exact, d_approx))
     n_star, d_star = optimize.best_section_count(

@@ -86,11 +86,6 @@ def _station_counts(n: int) -> tuple[int, int]:
     return n - 2 * n_bell, n_bell
 
 
-def section_click_prob(config: RelayConfig) -> float:
-    """Accepted-click probability of a single station watching one section."""
-    return link_metrics(config).p_click
-
-
 def link_metrics(config: RelayConfig) -> LinkMetrics:
     """Evaluate signal, total and visibility for the sifted key channel.
 

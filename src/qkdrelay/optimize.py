@@ -23,10 +23,6 @@ class UnsupportedReconciliationError(ValueError):
     """Reverse reconciliation is only defined for single-section links."""
 
 
-class NoKeyPossibleError(ValueError):
-    """The closed-form estimate predicts no positive-rate distance."""
-
-
 class OutOfModelError(ValueError):
     """The detector line leaves the valid dark-probability range."""
 
@@ -51,14 +47,6 @@ NORMAL_LINE = DetectorLine(2.3e-6, 17.0, "normal")
 GOOD_LINE = DetectorLine(6.1e-7, 17.0, "good")
 BEST_LINE = DetectorLine(1.2e-7, 16.0, "best")
 DETECTOR_LINES = {line.name: line for line in (NORMAL_LINE, GOOD_LINE, BEST_LINE)}
-
-
-@dataclass(frozen=True)
-class MaxDistanceResult:
-    n_sections: int
-    d_max_km: float
-    method: str               # "exact" | "approx"
-    reconciliation: str       # "forward" | "reverse"
 
 
 @dataclass(frozen=True)
@@ -94,8 +82,11 @@ def _signed_rate(n: int, distance_km: float, channel: ChannelParams,
 def _largest_distance_where(positive) -> float:
     """sup{d >= 0 : positive(d)} via doubling bracket plus bisection.
 
-    Assumes positive(0) is True; returns inf if the bracket cap is exceeded.
+    Assumes positive changes from True to False at most once in d; returns 0
+    when positive(0) is False and inf if the bracket cap is exceeded.
     """
+    if not positive(0.0):
+        return 0.0
     lo = 0.0
     hi = BRACKET_START_KM
     while positive(hi):
@@ -122,55 +113,36 @@ def _check_reconciliation(n: int, reconciliation: str) -> None:
 
 def max_distance_exact(n: int, channel: ChannelParams,
                        detector: DetectorParams,
-                       reconciliation: str = "forward") -> MaxDistanceResult:
-    """Largest distance with a strictly positive key rate, to 0.1 km."""
+                       reconciliation: str = "forward") -> float:
+    """Largest distance in km with a strictly positive key rate, to 0.1 km;
+    0 when there is no key at 0 km, inf past the bracket cap."""
     if not isinstance(n, int) or n < 1:
         raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
     _check_reconciliation(n, reconciliation)
-    if _signed_rate(n, 0.0, channel, detector, reconciliation) <= 0.0:
-        return MaxDistanceResult(n, 0.0, "exact", reconciliation)
-    d_max = _largest_distance_where(
+    return _largest_distance_where(
         lambda d: _signed_rate(n, d, channel, detector, reconciliation) > 0.0)
-    return MaxDistanceResult(n, d_max, "exact", reconciliation)
 
 
 def max_distance_approx(n: int, channel: ChannelParams,
-                        detector: DetectorParams) -> MaxDistanceResult:
-    """Closed-form estimate of the maximum key distance.
+                        detector: DetectorParams) -> float:
+    """Closed-form estimate of the maximum key distance in km.
 
     Derived by handing every dark count in the system to Eve (so the key
     survives while v_ab > 1/sqrt(2)) and folding the unresolved Bell outcomes
     into a doubling of the effective dark counts.  Good for many sections;
-    pessimistic for few.
+    pessimistic for few.  0 where the estimate predicts no key.  Without dark
+    counts nothing lowers the visibility with distance, so the estimate's
+    limit is inf when 2**(1/(2n)) * v_opt > 1 and 0 otherwise.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
-    if detector.dark_prob <= 0:
-        raise InvalidParameterError(
-            "the closed-form estimate requires dark_prob > 0")
-    arg = (detector.eta / (4.0 * detector.dark_prob)) \
-        * (2.0 ** (1.0 / (2.0 * n)) * channel.v_opt - 1.0)
+    margin = 2.0 ** (1.0 / (2.0 * n)) * channel.v_opt - 1.0
+    if detector.dark_prob == 0.0:
+        return math.inf if margin > 0.0 else 0.0
+    arg = (detector.eta / (4.0 * detector.dark_prob)) * margin
     if arg <= 1.0:
-        raise NoKeyPossibleError(
-            f"estimate predicts no positive-rate distance (log argument {arg:.4g})")
-    d_max = (10.0 * n / channel.alpha_db_per_km) * math.log10(arg)
-    return MaxDistanceResult(n, d_max, "approx", "forward")
-
-
-def max_distance_km(n: int, channel: ChannelParams, detector: DetectorParams,
-                    method: str) -> float:
-    """Maximum forward key distance of ``n`` sections by ``method``, "exact"
-    (bisection) or "approx" (closed-form estimate, 0 km where the estimate
-    predicts no key)."""
-    if method not in ("exact", "approx"):
-        raise InvalidParameterError(
-            f"method must be 'exact' or 'approx', got {method!r}")
-    if method == "exact":
-        return max_distance_exact(n, channel, detector).d_max_km
-    try:
-        return max_distance_approx(n, channel, detector).d_max_km
-    except NoKeyPossibleError:
         return 0.0
+    return (10.0 * n / channel.alpha_db_per_km) * math.log10(arg)
 
 
 def best_section_count(cutoffs: Iterable[tuple[int, float]],
@@ -182,13 +154,17 @@ def best_section_count(cutoffs: Iterable[tuple[int, float]],
 
 def optimal_sections(channel: ChannelParams, detector: DetectorParams,
                      n_max: int, method: str = "exact") -> tuple[int, float]:
-    """Scan 1..n_max sections and return (n_star, d_max_km) as
+    """Scan 1..n_max sections with ``method`` "exact" (bisection) or
+    "approx" (closed-form estimate) and return (n_star, d_max_km) as
     ``best_section_count`` picks it."""
     if not isinstance(n_max, int) or n_max < 1:
         raise InvalidParameterError(f"n_max must be an integer >= 1, got {n_max!r}")
+    if method not in ("exact", "approx"):
+        raise InvalidParameterError(
+            f"method must be 'exact' or 'approx', got {method!r}")
+    cutoff = max_distance_exact if method == "exact" else max_distance_approx
     return best_section_count(
-        (n, max_distance_km(n, channel, detector, method))
-        for n in range(1, n_max + 1))
+        (n, cutoff(n, channel, detector)) for n in range(1, n_max + 1))
 
 
 def threshold_distance(n: int, channel: ChannelParams,
@@ -204,8 +180,6 @@ def threshold_distance(n: int, channel: ChannelParams,
         cfg = RelayConfig(n, d, channel, detector)
         return key_rates(cfg).rate_forward >= rate_threshold_per_pulse
 
-    if not meets(0.0):
-        return 0.0
     return _largest_distance_where(meets)
 
 

@@ -29,7 +29,7 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_single_section_forward_cutoff():
     t0 = time.perf_counter()
-    d = max_distance_exact(1, CHANNEL, DETECTOR, "forward").d_max_km
+    d = max_distance_exact(1, CHANNEL, DETECTOR, "forward")
     elapsed = time.perf_counter() - t0
     ok = 135.0 <= d <= 165.0 and elapsed < 1.0
     _report(1, "single-section forward cutoff", ok,
@@ -38,8 +38,8 @@ def test_criterion_01_single_section_forward_cutoff():
 
 def test_criterion_02_reverse_beats_forward():
     t0 = time.perf_counter()
-    fwd = max_distance_exact(1, CHANNEL, DETECTOR, "forward").d_max_km
-    rev = max_distance_exact(1, CHANNEL, DETECTOR, "reverse").d_max_km
+    fwd = max_distance_exact(1, CHANNEL, DETECTOR, "forward")
+    rev = max_distance_exact(1, CHANNEL, DETECTOR, "reverse")
     elapsed = time.perf_counter() - t0
     ok = rev > fwd + 1.0 and elapsed < 1.0
     _report(2, "reverse beats forward", ok,
@@ -60,8 +60,8 @@ def test_criterion_04_approximation_quality():
     t0 = time.perf_counter()
     errors = {}
     for n in range(10, 31):
-        exact = max_distance_exact(n, CHANNEL, DETECTOR).d_max_km
-        approx = max_distance_approx(n, CHANNEL, DETECTOR).d_max_km
+        exact = max_distance_exact(n, CHANNEL, DETECTOR)
+        approx = max_distance_approx(n, CHANNEL, DETECTOR)
         errors[n] = abs(approx - exact) / exact
     elapsed = time.perf_counter() - t0
     offenders = {n: round(e, 3) for n, e in errors.items() if e > 0.15}

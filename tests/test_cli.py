@@ -184,6 +184,21 @@ def test_maxdist_poor_visibility_gives_zero_rows(capsys):
     assert [float(r[1]) for r in rows] == [0.0, 0.0]
 
 
+def test_maxdist_without_darks_prints_both_columns(capsys):
+    base = ["maxdist", "--dark", "0", "--sections", "1..4"]
+    code, out, err = run_cli(capsys, *base)
+    assert code == 0 and err == ""
+    _, rows = csv_rows(out)
+    code, out_exact, _ = run_cli(capsys, *base, "--method", "exact")
+    assert code == 0
+    assert [r[1] for r in rows] == [r[1] for r in csv_rows(out_exact)[1]]
+    assert float(rows[0][1]) == pytest.approx(12902.6, abs=0.1)
+    assert [r[2] for r in rows] == ["inf"] * 4
+    code, out, _ = run_cli(capsys, *base, "--vopt", "0.7")
+    assert code == 0
+    assert [r[1:] for r in csv_rows(out)[1]] == [["0", "0"]] * 4
+
+
 @pytest.mark.parametrize("method", ["exact", "approx"])
 def test_maxdist_summary_is_optimal_sections(capsys, method):
     from qkdrelay import ChannelParams, DetectorParams, optimal_sections

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ import reference as ref
 from qkdrelay import (ChannelParams, DegenerateLinkError, DetectorParams,
                       InvalidParameterError, RelayConfig, binary_entropy,
                       evaluate, eve_base_visibility, eve_usable_visibility,
-                      info_metrics, key_rates, link_metrics,
-                      section_click_prob, transmittance)
+                      info_metrics, key_rates, link_metrics, transmittance)
 
 DEF = dict(alpha=0.25, eta=0.3, dark=1e-4, v_opt=0.99)
 
@@ -70,11 +70,11 @@ def test_entropy_rejects_outside_unit_interval(p):
 # -------------------------------------------------------- station click term
 
 def test_click_prob_perfect_apparatus():
-    assert section_click_prob(make_config(1, 0.0, eta=1.0, dark=0.0)) == 1.0
+    assert link_metrics(make_config(1, 0.0, eta=1.0, dark=0.0)).p_click == 1.0
 
 
 def test_click_prob_one_section_hand_value():
-    got = section_click_prob(make_config(1, 0.0))
+    got = link_metrics(make_config(1, 0.0)).p_click
     assert got == pytest.approx((0.3 + 0.7 * 2e-4) * (1 - 1e-4), rel=1e-12)
     assert got == pytest.approx(0.300110, abs=1e-6)
 
@@ -82,7 +82,7 @@ def test_click_prob_one_section_hand_value():
 def test_click_prob_two_sections_hand_value():
     th = 10.0 ** -1.25  # half of 100 km at 0.25 dB/km
     expected = (th * 0.3 + (1 - th * 0.3) * 2e-4) * (1 - 1e-4)
-    got = section_click_prob(make_config(2, 100.0))
+    got = link_metrics(make_config(2, 100.0)).p_click
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(0.017065159021188554, rel=1e-12)
 
@@ -364,3 +364,32 @@ def test_rates_clamp_to_zero_past_cutoff():
     kr = key_rates(make_config(1, 500.0))
     assert kr.rate_forward == 0.0
     assert kr.rate_reverse == 0.0
+
+
+# ---------------------------------------------------------- physical invariants
+
+def test_rate_non_increasing_in_dark_prob_and_alpha():
+    rng = np.random.default_rng(2718)
+    for _ in range(10_000):
+        cfg = ref.random_config(rng)
+        rate = key_rates(cfg).rate_forward
+        darker = replace(cfg, detector=replace(
+            cfg.detector, dark_prob=cfg.detector.dark_prob * 1.1))
+        lossier = replace(cfg, channel=replace(
+            cfg.channel, alpha_db_per_km=cfg.channel.alpha_db_per_km * 1.1))
+        assert key_rates(darker).rate_forward <= rate, darker
+        assert key_rates(lossier).rate_forward <= rate, lossier
+
+
+def test_rate_below_repeaterless_bound_of_one_section():
+    # no protocol beats -log2(1 - eta) bits per use of a lossy channel of
+    # transmittance eta (Pirandola et al., Nat. Commun. 8, 15043, 2017); a
+    # chain is bounded by one of its sections, eta = t**(1/n)
+    rng = np.random.default_rng(1729)
+    for _ in range(10_000):
+        cfg = ref.random_config(rng)
+        t_section = ref.fibre_transmission(cfg.channel.alpha_db_per_km,
+                                           cfg.section_length_km)
+        bound = (-math.log1p(-t_section) / math.log(2.0)
+                 if t_section < 1.0 else math.inf)
+        assert key_rates(cfg).rate_forward <= bound, cfg

@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
+import reference as ref
 from qkdrelay import (BEST_LINE, DETECTOR_LINES, GOOD_LINE, NORMAL_LINE,
                       ChannelParams, DetectorLine, DetectorParams,
-                      InvalidParameterError, NoKeyPossibleError,
-                      OutOfModelError, RelayConfig,
+                      InvalidParameterError, OutOfModelError, RelayConfig,
                       UnsupportedReconciliationError, detector_dark,
-                      detector_sweep, key_rates, max_distance_approx,
+                      detector_sweep, evaluate, key_rates, max_distance_approx,
                       max_distance_exact, max_eta_on_line, optimal_sections,
                       source_penalty, threshold_distance)
 
@@ -23,20 +24,19 @@ def forward_rate(n, d):
 
 def test_single_section_forward_cutoff():
     res = max_distance_exact(1, CHANNEL, DETECTOR, "forward")
-    assert res.method == "exact"
-    assert 135.0 <= res.d_max_km <= 165.0
+    assert 135.0 <= res <= 165.0
 
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_bisection_certificate(n):
-    d = max_distance_exact(n, CHANNEL, DETECTOR).d_max_km
+    d = max_distance_exact(n, CHANNEL, DETECTOR)
     assert forward_rate(n, d - 0.2) > 0.0
     assert forward_rate(n, d + 0.2) <= 0.0
 
 
 def test_reverse_beats_forward():
-    fwd = max_distance_exact(1, CHANNEL, DETECTOR, "forward").d_max_km
-    rev = max_distance_exact(1, CHANNEL, DETECTOR, "reverse").d_max_km
+    fwd = max_distance_exact(1, CHANNEL, DETECTOR, "forward")
+    rev = max_distance_exact(1, CHANNEL, DETECTOR, "reverse")
     assert rev > fwd + 1.0
 
 
@@ -45,10 +45,26 @@ def test_reverse_requires_single_section():
         max_distance_exact(2, CHANNEL, DETECTOR, "reverse")
 
 
+def test_signed_rate_changes_sign_at_most_once():
+    # the assumption behind the bisection: positive up to the cutoff, never
+    # positive again beyond it
+    rng = np.random.default_rng(1414)
+    grid = [20.0 * i for i in range(201)]
+    for _ in range(400):
+        cfg = ref.random_config(rng)
+        positive = []
+        for d in grid:
+            lm, im, _ = evaluate(RelayConfig(cfg.n_sections, d, cfg.channel,
+                                             cfg.detector))
+            positive.append(lm.p_total * (im.i_ab - im.i_ae) > 0.0)
+        first_dead = positive.index(False) if False in positive else len(grid)
+        assert not any(positive[first_dead:]), cfg
+
+
 def test_no_key_when_eve_wins_at_zero_distance():
     channel = ChannelParams(0.25, 0.5)
     res = max_distance_exact(1, channel, DETECTOR)
-    assert res.d_max_km == 0.0
+    assert res == 0.0
 
 
 # -------------------------------------------------------- approx max distance
@@ -56,26 +72,30 @@ def test_no_key_when_eve_wins_at_zero_distance():
 def test_approx_single_section():
     res = max_distance_approx(1, CHANNEL, DETECTOR)
     expected = 40.0 * math.log10(750.0 * (math.sqrt(2.0) * 0.99 - 1.0))
-    assert res.d_max_km == pytest.approx(expected, rel=1e-12)
-    assert res.d_max_km == pytest.approx(99.1, abs=0.1)
+    assert res == pytest.approx(expected, rel=1e-12)
+    assert res == pytest.approx(99.1, abs=0.1)
 
 
 def test_approx_eighteen_sections():
     res = max_distance_approx(18, CHANNEL, DETECTOR)
     expected = (720.0
                 * math.log10(750.0 * (2.0 ** (1.0 / 36.0) * 0.99 - 1.0)))
-    assert res.d_max_km == pytest.approx(expected, rel=1e-12)
-    assert res.d_max_km == pytest.approx(605.0, abs=1.0)
+    assert res == pytest.approx(expected, rel=1e-12)
+    assert res == pytest.approx(605.0, abs=1.0)
 
 
 def test_approx_no_key_possible():
-    with pytest.raises(NoKeyPossibleError):
-        max_distance_approx(1, ChannelParams(0.25, 0.7), DETECTOR)
+    assert max_distance_approx(1, ChannelParams(0.25, 0.7), DETECTOR) == 0.0
 
 
-def test_approx_requires_darks():
-    with pytest.raises(InvalidParameterError):
-        max_distance_approx(1, CHANNEL, DetectorParams(0.3, 0.0))
+def test_approx_without_darks_is_its_limit():
+    # nothing lowers v_ab with distance: inf while v_opt**n > 1/sqrt(2),
+    # which at v_opt = 0.99 holds up to n = 34, and 0 otherwise
+    no_darks = DetectorParams(0.3, 0.0)
+    assert max_distance_approx(1, CHANNEL, no_darks) == math.inf
+    assert max_distance_approx(34, CHANNEL, no_darks) == math.inf
+    assert max_distance_approx(35, CHANNEL, no_darks) == 0.0
+    assert max_distance_approx(1, ChannelParams(0.25, 0.7), no_darks) == 0.0
 
 
 # ------------------------------------------------------------ optimal sections
@@ -109,15 +129,15 @@ def test_approx_tracks_exact_in_its_validity_region():
     # the estimate assumes per-section loss dominates darks; past n ~ 25 at
     # the baseline operating point that breaks down and the gap blows up
     for n in range(10, 26):
-        exact = max_distance_exact(n, CHANNEL, DETECTOR).d_max_km
-        approx = max_distance_approx(n, CHANNEL, DETECTOR).d_max_km
+        exact = max_distance_exact(n, CHANNEL, DETECTOR)
+        approx = max_distance_approx(n, CHANNEL, DETECTOR)
         assert abs(approx - exact) / exact <= 0.15
 
 
 # ---------------------------------------------------------- threshold distance
 
 def test_threshold_distance_tiny_threshold_equals_cutoff():
-    cutoff = max_distance_exact(4, CHANNEL, DETECTOR).d_max_km
+    cutoff = max_distance_exact(4, CHANNEL, DETECTOR)
     near = threshold_distance(4, CHANNEL, DETECTOR, 1e-300)
     assert near == pytest.approx(cutoff, abs=0.25)
 
@@ -129,7 +149,7 @@ def test_threshold_distance_unreachable_threshold():
 def test_threshold_distance_practical_rate_four_sections():
     d = threshold_distance(4, CHANNEL, DETECTOR, 1.667e-12)
     assert d == pytest.approx(316.84, abs=0.3)  # frozen at build time
-    assert d < max_distance_exact(4, CHANNEL, DETECTOR).d_max_km
+    assert d < max_distance_exact(4, CHANNEL, DETECTOR)
 
 
 def test_threshold_distance_non_increasing_in_threshold():
