@@ -15,8 +15,7 @@ from pathlib import Path
 
 from . import montecarlo, optimize
 from .model import evaluate, link_metrics
-from .optimize import (DETECTOR_LINES, DetectorLine, OutOfModelError,
-                       UnsupportedReconciliationError)
+from .optimize import DETECTOR_LINES, DetectorLine
 from .params import (DEFAULT_ALPHA_DB_PER_KM, DEFAULT_DARK_PROB, DEFAULT_ETA,
                      DEFAULT_V_OPT, ChannelParams, DetectorParams,
                      InvalidParameterError, RelayConfig)
@@ -197,7 +196,7 @@ def _cmd_keyrate(args, params, channel, detector):
     sections = parse_sections(args.sections)
     reverse = args.reconciliation == "reverse"
     if reverse and sections != [1]:
-        raise UnsupportedReconciliationError(
+        raise InvalidParameterError(
             "reverse reconciliation requires --sections 1")
     grid = inclusive_grid(args.dmin, args.dmax, args.dstep)
     rows = []
@@ -417,11 +416,10 @@ def main(argv: list[str] | None = None) -> int:
         channel = ChannelParams(params["alpha"], params["vopt"])
         detector = DetectorParams(params["eta"], params["dark"])
         text, code = _HANDLERS[args.cmd](args, params, channel, detector)
-    except (InvalidParameterError, UnsupportedReconciliationError,
-            OutOfModelError, OSError) as exc:
+        _write_output(text, args.out)
+    except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_output(text, args.out)
     return code
 
 

@@ -17,13 +17,10 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .params import InvalidParameterError, RelayConfig
-
-
-class DegenerateLinkError(ValueError):
-    """The link produces no accepted events at all (p_total == 0)."""
 
 
 @dataclass(frozen=True)
@@ -89,9 +86,11 @@ def _station_counts(n: int) -> tuple[int, int]:
 def link_metrics(config: RelayConfig) -> LinkMetrics:
     """Evaluate signal, total and visibility for the sifted key channel.
 
-    A zero p_total (possible only without dark counts, once the per-section
-    transmission underflows) is reported with the ``degenerate`` flag instead
-    of raising, so that parameter sweeps never abort.
+    A p_total below the smallest normal double (possible only without dark
+    counts, or with tiny ones, once the per-section transmission
+    underflows) is reported with the ``degenerate`` flag instead of raising,
+    so that parameter sweeps never abort: a subnormal p_signal / p_total
+    carries no significant digits.
     """
     n = config.n_sections
     eta = config.detector.eta
@@ -111,13 +110,14 @@ def link_metrics(config: RelayConfig) -> LinkMetrics:
                    - (1.0 - 2.0 * dk) * 0.5 * s * s * (1.0 - dk) ** 2)
     p_total = 0.5 * p_click ** n_term * bell_accept ** n_bell
 
-    if p_total <= 0.0:
+    if p_total < sys.float_info.min:
         return LinkMetrics(t, t_section, p_click, 0.0, 0.0, 0.0,
                            degenerate=True)
-    # p_signal <= p_total holds exactly; guard the few-ulp rounding gap.
+    # p_signal <= p_total holds exactly; guard the few-ulp rounding gap, after
+    # which the correctly rounded ratio cannot exceed 1.
     p_signal = min(p_signal, p_total)
     return LinkMetrics(t, t_section, p_click, p_signal, p_total,
-                       min(p_signal / p_total, 1.0))
+                       p_signal / p_total)
 
 
 def eve_base_visibility(v_channel: float) -> float:
@@ -129,34 +129,15 @@ def eve_base_visibility(v_channel: float) -> float:
     return math.sqrt(1.0 - v_channel * v_channel)
 
 
-def _eve_usable_visibility(config: RelayConfig, lm: LinkMetrics) -> float:
-    raw = config.channel.v_opt ** config.n_sections
-    _, n_bell = _station_counts(config.n_sections)
-    if n_bell == 0 and not lm.degenerate:
-        # Nothing dilutes the optics.  The Bell ratio is not formed: its
-        # square terms underflow long before p_total does.
-        return raw
-    dk = config.detector.dark_prob
-    s = lm.t_section * config.detector.eta
-    denom = lm.p_click * lm.p_click - (1.0 - 2.0 * dk) * 0.5 * s * s
-    if denom <= 0.0:
-        raise DegenerateLinkError(
-            "Bell acceptance vanished; no usable visibility is defined")
-    raw *= (0.5 * s * s / denom) ** n_bell
-    # The ratio overshoots 1 by O(dark_prob) at short distance with a
-    # near-perfect channel; clamp to keep the visibility physical.
-    return min(raw, 1.0)
-
-
 def eve_usable_visibility(config: RelayConfig) -> float:
     """Visibility of the error channel available to Eve.
 
     Besides the optical imperfections, Eve can exploit the dark counts of the
     Bell stations (they sit outside the end laboratories).  Each Bell station
     dilutes the usable visibility by the ratio of resolved two-photon outcomes
-    to all accepted outcomes.
+    to all accepted outcomes.  0 on a degenerate link.
     """
-    return _eve_usable_visibility(config, link_metrics(config))
+    return evaluate(config)[1].v_ab_e
 
 
 def evaluate(config: RelayConfig) -> tuple[LinkMetrics, InfoMetrics, KeyRates]:
@@ -173,14 +154,26 @@ def evaluate(config: RelayConfig) -> tuple[LinkMetrics, InfoMetrics, KeyRates]:
 
         i_ab = 1.0 - binary_entropy(0.5 * (1.0 + lm.v_ab))
 
-        v_ab_e = _eve_usable_visibility(config, lm)
+        v_ab_e = config.channel.v_opt ** n
+        _, n_bell = _station_counts(n)
+        if n_bell > 0:
+            # p_click**2 > (1 - 2D) s**2 / 2 on any link that is not
+            # degenerate, so the ratio is defined.  It is not formed without
+            # Bell stations: its square terms underflow long before p_total.
+            v_ab_e *= (0.5 * s * s / (lm.p_click * lm.p_click
+                                      - (1.0 - 2.0 * dk) * 0.5 * s * s)
+                       ) ** n_bell
+            # The ratio overshoots 1 by O(dark_prob) at short distance with a
+            # near-perfect channel; clamp to keep the visibility physical.
+            v_ab_e = min(v_ab_e, 1.0)
         eve_vis = eve_base_visibility(v_ab_e)
 
         # Eve learns nothing from the sifted bits that exist only thanks to a
         # dark count inside a terminal laboratory.
-        p_photonpass = (lm.t_section * (eta + (1.0 - eta) * 2.0 * dk)
+        click_given_photon = eta + (1.0 - eta) * 2.0 * dk
+        p_photonpass = (lm.t_section * click_given_photon
                         / (s + (1.0 - s) * 2.0 * dk))
-        v_ae_n = eta * eve_vis / (eta + (1.0 - eta) * 2.0 * dk)
+        v_ae_n = eta * eve_vis / click_given_photon
         i_be = p_photonpass * (1.0 - binary_entropy(0.5 * (1.0 + v_ae_n)))
 
         if n % 2 == 0:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import link_metrics
 from .params import InvalidParameterError, RelayConfig
 
 DEFAULT_CHUNK_SIZE = 250_000
@@ -86,9 +85,12 @@ class _PulseModel:
 
     @classmethod
     def from_config(cls, relay: RelayConfig) -> "_PulseModel":
-        lm = link_metrics(relay)
+        # the fibre transmission is computed here, not read from the model,
+        # so that the oracle shares no formula with what it checks
+        t = 10.0 ** (-relay.channel.alpha_db_per_km * relay.distance_km
+                     / 10.0)
         dk = relay.detector.dark_prob
-        s = lm.t_section * relay.detector.eta
+        s = t ** (1.0 / relay.n_sections) * relay.detector.eta
         n_bells = (relay.n_sections - 1) // 2
         return cls(
             genuine=s * (1.0 - dk),

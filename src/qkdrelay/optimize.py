@@ -19,14 +19,6 @@ BRACKET_CAP_KM = 1e6         # beyond this the rate is treated as never dying
 PRACTICAL_RATE_THRESHOLD = 1.0 / (60.0 * 1e10)
 
 
-class UnsupportedReconciliationError(ValueError):
-    """Reverse reconciliation is only defined for single-section links."""
-
-
-class OutOfModelError(ValueError):
-    """The detector line leaves the valid dark-probability range."""
-
-
 @dataclass(frozen=True)
 class DetectorLine:
     """Exponential efficiency/dark-count tradeoff dark(eta) = a * exp(b * eta),
@@ -107,7 +99,7 @@ def _check_reconciliation(n: int, reconciliation: str) -> None:
         raise InvalidParameterError(
             f"reconciliation must be 'forward' or 'reverse', got {reconciliation!r}")
     if reconciliation == "reverse" and n != 1:
-        raise UnsupportedReconciliationError(
+        raise InvalidParameterError(
             "reverse reconciliation is only defined for n_sections == 1")
 
 
@@ -192,7 +184,7 @@ def detector_dark(eta: float, line: DetectorLine) -> float:
     except OverflowError:
         dark = math.inf
     if dark >= 0.5:
-        raise OutOfModelError(
+        raise InvalidParameterError(
             f"dark({eta:g}) = {dark:.4g} on line {line.name!r} is >= 0.5")
     return dark
 

@@ -1,17 +1,50 @@
-"""The public surface: every exported name exists, and the README's
-Quick-start example runs as written."""
+"""The public surface: every exported name exists, every rejected input
+raises the one package error, and the README's Quick-start example runs as
+written."""
+import ast
 import re
 from pathlib import Path
 
 import qkdrelay
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(qkdrelay.__file__).resolve().parent
+
+# (module, function, raised name) of the raises that are not rejected inputs:
+# parse_sections catches its own ValueError, run exits with main's code
+OTHER_RAISES = {("cli.py", "parse_sections", "ValueError"),
+                ("cli.py", "run", "SystemExit")}
+
+
+def _raises(node, function=None):
+    """(enclosing function, raised name) for every raise below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raises(child, child.name)
+            continue
+        if isinstance(child, ast.Raise):
+            exc = child.exc
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            yield function, ast.unparse(exc) if exc is not None else None
+        yield from _raises(child, function)
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in qkdrelay.__all__
                if not hasattr(qkdrelay, name)]
     assert not missing
+
+
+def test_every_raise_names_the_package_error():
+    # cli.main maps InvalidParameterError (and OSError) to exit 2; any other
+    # type raised in the package would escape it as a traceback
+    others = [(path.name, function, name)
+              for path in sorted(PACKAGE.glob("*.py"))
+              for function, name in _raises(ast.parse(
+                  path.read_text(encoding="utf-8")))
+              if name != "InvalidParameterError"]
+    assert set(others) <= OTHER_RAISES, others
 
 
 def test_readme_quick_start_runs(capsys):

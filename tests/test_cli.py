@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import qkdrelay
-from qkdrelay import RelayConfig, link_metrics
+from qkdrelay import ChannelParams, DetectorParams, RelayConfig, link_metrics
 from qkdrelay.cli import inclusive_grid, main, parse_sections
 
 
@@ -192,11 +192,26 @@ def test_maxdist_without_darks_prints_both_columns(capsys):
     code, out_exact, _ = run_cli(capsys, *base, "--method", "exact")
     assert code == 0
     assert [r[1] for r in rows] == [r[1] for r in csv_rows(out_exact)[1]]
-    assert float(rows[0][1]) == pytest.approx(12902.6, abs=0.1)
+    assert float(rows[0][1]) == pytest.approx(12273.2, abs=0.1)
     assert [r[2] for r in rows] == ["inf"] * 4
     code, out, _ = run_cli(capsys, *base, "--vopt", "0.7")
     assert code == 0
     assert [r[1:] for r in csv_rows(out)[1]] == [["0", "0"]] * 4
+
+
+def test_keyrate_without_darks_is_degenerate_below_normal_range(capsys):
+    # v_opt**4 < 1/sqrt(2): no key at any distance.  From 12808.6 km p_signal
+    # and p_total are both subnormal, and their ratio (v_ab = 1) would give a
+    # key; such a link is degenerate instead.
+    code, out, _ = run_cli(capsys, "keyrate", "--dark", "0", "--vopt", "0.9",
+                           "--sections", "4", "--dmin", "12800",
+                           "--dmax", "12900", "--dstep", "0.1")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert len(rows) == 1001
+    assert {(r[2], r[6]) for r in rows} == {("0", "0")}
+    assert link_metrics(RelayConfig(4, 12808.6, ChannelParams(0.25, 0.9),
+                                    DetectorParams(0.3, 0.0))).degenerate
 
 
 @pytest.mark.parametrize("method", ["exact", "approx"])
@@ -420,6 +435,16 @@ def test_non_finite_or_oversized_input_exits_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # a missing parent directory, and a directory in place of the file
+    for out_path in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run_cli(capsys, "source-penalty", "--sources", "2",
+                                 "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_module_entry_point():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import reference as ref
-from qkdrelay import (ChannelParams, DegenerateLinkError, DetectorParams,
-                      InvalidParameterError, RelayConfig, binary_entropy,
-                      evaluate, eve_base_visibility, eve_usable_visibility,
+from qkdrelay import (ChannelParams, DetectorParams, InvalidParameterError,
+                      RelayConfig, binary_entropy, evaluate,
+                      eve_base_visibility, eve_usable_visibility,
                       info_metrics, key_rates, link_metrics, transmittance)
 
 DEF = dict(alpha=0.25, eta=0.3, dark=1e-4, v_opt=0.99)
@@ -211,9 +211,9 @@ def test_eve_usable_visibility_three_sections_300km():
     assert 0.0 < got < 1.0
 
 
-def test_eve_usable_visibility_degenerate_denominator():
-    with pytest.raises(DegenerateLinkError):
-        eve_usable_visibility(make_config(2, 20000.0, dark=0.0))
+def test_eve_usable_visibility_is_zero_on_degenerate_link():
+    cfg = make_config(2, 20000.0, dark=0.0)
+    assert eve_usable_visibility(cfg) == info_metrics(cfg).v_ab_e == 0.0
 
 
 # ------------------------------------------------------- mutual informations
@@ -294,12 +294,6 @@ def test_info_fields_within_unit_interval():
 # ------------------------------------------------------------------ key rates
 
 def test_evaluate_equals_single_purpose_calls():
-    def outcome(fn, cfg):
-        try:
-            return fn(cfg)
-        except DegenerateLinkError:
-            return DegenerateLinkError
-
     def separately(cfg):
         return (link_metrics(cfg), info_metrics(cfg), key_rates(cfg))
 
@@ -310,10 +304,10 @@ def test_evaluate_equals_single_purpose_calls():
             for _ in range(50):
                 cfg = ref.random_config(rng, n_lo=n, n_hi=n, d_hi=d_hi,
                                         dark_zero=dark_zero)
-                got = outcome(evaluate, cfg)
-                assert got == outcome(separately, cfg)
-                if got is not DegenerateLinkError:
-                    degenerate += got[0].degenerate
+                got = evaluate(cfg)
+                assert got == separately(cfg)
+                assert eve_usable_visibility(cfg) == got[1].v_ab_e
+                degenerate += got[0].degenerate
     assert degenerate > 100
 
 
@@ -368,17 +362,23 @@ def test_rates_clamp_to_zero_past_cutoff():
 
 # ---------------------------------------------------------- physical invariants
 
+# (dark_zero, d_hi): the default dark counts, and none out to the horizons
+# where p_total leaves the normal double range
+INVARIANT_INPUTS = ((False, 800.0), (True, 40000.0))
+
 def test_rate_non_increasing_in_dark_prob_and_alpha():
     rng = np.random.default_rng(2718)
-    for _ in range(10_000):
-        cfg = ref.random_config(rng)
-        rate = key_rates(cfg).rate_forward
-        darker = replace(cfg, detector=replace(
-            cfg.detector, dark_prob=cfg.detector.dark_prob * 1.1))
-        lossier = replace(cfg, channel=replace(
-            cfg.channel, alpha_db_per_km=cfg.channel.alpha_db_per_km * 1.1))
-        assert key_rates(darker).rate_forward <= rate, darker
-        assert key_rates(lossier).rate_forward <= rate, lossier
+    for dark_zero, d_hi in INVARIANT_INPUTS:
+        for _ in range(10_000):
+            cfg = ref.random_config(rng, d_hi=d_hi, dark_zero=dark_zero)
+            rate = key_rates(cfg).rate_forward
+            darker = replace(cfg, detector=replace(
+                cfg.detector, dark_prob=cfg.detector.dark_prob * 1.1))
+            lossier = replace(cfg, channel=replace(
+                cfg.channel,
+                alpha_db_per_km=cfg.channel.alpha_db_per_km * 1.1))
+            assert key_rates(darker).rate_forward <= rate, darker
+            assert key_rates(lossier).rate_forward <= rate, lossier
 
 
 def test_rate_below_repeaterless_bound_of_one_section():
@@ -386,10 +386,11 @@ def test_rate_below_repeaterless_bound_of_one_section():
     # transmittance eta (Pirandola et al., Nat. Commun. 8, 15043, 2017); a
     # chain is bounded by one of its sections, eta = t**(1/n)
     rng = np.random.default_rng(1729)
-    for _ in range(10_000):
-        cfg = ref.random_config(rng)
-        t_section = ref.fibre_transmission(cfg.channel.alpha_db_per_km,
-                                           cfg.section_length_km)
-        bound = (-math.log1p(-t_section) / math.log(2.0)
-                 if t_section < 1.0 else math.inf)
-        assert key_rates(cfg).rate_forward <= bound, cfg
+    for dark_zero, d_hi in INVARIANT_INPUTS:
+        for _ in range(10_000):
+            cfg = ref.random_config(rng, d_hi=d_hi, dark_zero=dark_zero)
+            t_section = ref.fibre_transmission(cfg.channel.alpha_db_per_km,
+                                               cfg.section_length_km)
+            bound = (-math.log1p(-t_section) / math.log(2.0)
+                     if t_section < 1.0 else math.inf)
+            assert key_rates(cfg).rate_forward <= bound, cfg

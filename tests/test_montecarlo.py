@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,21 @@ from qkdrelay.montecarlo import GENERATOR_METADATA, MAX_TRIALS
 def make_config(n, d, eta=0.3, dark=1e-4, v_opt=0.99, alpha=0.25):
     return RelayConfig(n, d, ChannelParams(alpha, v_opt),
                        DetectorParams(eta, dark))
+
+
+def test_oracle_imports_nothing_from_the_model():
+    # the simulator checks the closed-form model, so it must not share its
+    # formulas: no import of qkdrelay.model in any form
+    tree = ast.parse(Path(montecarlo.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any("model" in name.split(".") for name in names), \
+            ast.unparse(node)
 
 
 def test_estimate_is_deterministic():

@@ -6,14 +6,14 @@ import pytest
 import reference as ref
 from qkdrelay import (BEST_LINE, DETECTOR_LINES, GOOD_LINE, NORMAL_LINE,
                       ChannelParams, DetectorLine, DetectorParams,
-                      InvalidParameterError, OutOfModelError, RelayConfig,
-                      UnsupportedReconciliationError, detector_dark,
+                      InvalidParameterError, RelayConfig, detector_dark,
                       detector_sweep, evaluate, key_rates, max_distance_approx,
                       max_distance_exact, max_eta_on_line, optimal_sections,
                       source_penalty, threshold_distance)
 
 CHANNEL = ChannelParams()
 DETECTOR = DetectorParams()
+OUT_OF_MODEL = r"^dark\(.*\) = .* on line .* is >= 0\.5$"
 
 
 def forward_rate(n, d):
@@ -41,24 +41,28 @@ def test_reverse_beats_forward():
 
 
 def test_reverse_requires_single_section():
-    with pytest.raises(UnsupportedReconciliationError):
+    with pytest.raises(InvalidParameterError, match="reverse reconciliation "
+                       "is only defined for n_sections == 1"):
         max_distance_exact(2, CHANNEL, DETECTOR, "reverse")
 
 
 def test_signed_rate_changes_sign_at_most_once():
     # the assumption behind the bisection: positive up to the cutoff, never
-    # positive again beyond it
+    # positive again beyond it; without dark counts the cutoff is the
+    # horizon where p_total leaves the normal range, thousands of km out
     rng = np.random.default_rng(1414)
-    grid = [20.0 * i for i in range(201)]
-    for _ in range(400):
-        cfg = ref.random_config(rng)
-        positive = []
-        for d in grid:
-            lm, im, _ = evaluate(RelayConfig(cfg.n_sections, d, cfg.channel,
-                                             cfg.detector))
-            positive.append(lm.p_total * (im.i_ab - im.i_ae) > 0.0)
-        first_dead = positive.index(False) if False in positive else len(grid)
-        assert not any(positive[first_dead:]), cfg
+    for dark_zero, step_km in ((False, 20.0), (True, 200.0)):
+        grid = [step_km * i for i in range(201)]
+        for _ in range(400):
+            cfg = ref.random_config(rng, dark_zero=dark_zero)
+            positive = []
+            for d in grid:
+                lm, im, _ = evaluate(RelayConfig(cfg.n_sections, d,
+                                                 cfg.channel, cfg.detector))
+                positive.append(lm.p_total * (im.i_ab - im.i_ae) > 0.0)
+            first_dead = (positive.index(False) if False in positive
+                          else len(grid))
+            assert not any(positive[first_dead:]), cfg
 
 
 def test_no_key_when_eve_wins_at_zero_distance():
@@ -191,7 +195,7 @@ def test_detector_dark_strictly_increasing():
 
 
 def test_detector_dark_out_of_model():
-    with pytest.raises(OutOfModelError):
+    with pytest.raises(InvalidParameterError, match=OUT_OF_MODEL):
         detector_dark(0.9, GOOD_LINE)
 
 
@@ -204,7 +208,7 @@ def test_max_eta_on_line_is_the_validity_edge():
     edge = max_eta_on_line(GOOD_LINE)
     assert detector_dark(edge, GOOD_LINE) < 0.5
     assert edge < 1.0
-    with pytest.raises(OutOfModelError):
+    with pytest.raises(InvalidParameterError, match=OUT_OF_MODEL):
         detector_dark(min(1.0, edge * 1.01), GOOD_LINE)
 
 
@@ -243,7 +247,7 @@ def test_detector_sweep_rejects_empty_grids():
 
 
 def test_detector_sweep_propagates_out_of_model():
-    with pytest.raises(OutOfModelError):
+    with pytest.raises(InvalidParameterError, match=OUT_OF_MODEL):
         detector_sweep(400.0, [4], GOOD_LINE, [0.2, 0.85])
 
 
