@@ -102,22 +102,24 @@ def _table(fmt: str, params: dict, header: list[str], rows: list,
 
 
 def parse_sections(spec: str) -> list[int]:
-    """Accept 'lo..hi', a comma list 'a,b,c', or a single integer."""
+    """Accept 'lo..hi' of at most MAX_GRID_POINTS counts, a comma list
+    'a,b,c', or a single integer."""
     spec = spec.strip()
     try:
         if ".." in spec:
-            lo_s, hi_s = spec.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = (int(tok) for tok in spec.split("..", 1))
             if hi < lo:
                 raise ValueError
-            values = list(range(lo, hi + 1))
-        elif "," in spec:
-            values = [int(tok) for tok in spec.split(",")]
         else:
-            values = [int(spec)]
+            values = [int(tok) for tok in spec.split(",")]
     except ValueError:
         raise InvalidParameterError(f"cannot parse section spec {spec!r}") from None
-    if not values or any(n < 1 for n in values):
+    if ".." in spec:
+        if hi - lo >= MAX_GRID_POINTS:
+            raise InvalidParameterError(
+                f"section range {spec!r} exceeds {MAX_GRID_POINTS} counts")
+        values = list(range(lo, hi + 1))
+    if any(n < 1 for n in values):
         raise InvalidParameterError(f"section counts must be >= 1 in {spec!r}")
     return values
 
@@ -243,8 +245,6 @@ def _cmd_detector_sweep(args, params, channel, detector):
     sections = parse_sections(args.sections)
     line = _make_line(args)
     eta_grid = inclusive_grid(args.eta_min, args.eta_max, args.eta_step)
-    if not eta_grid:
-        raise InvalidParameterError("empty eta grid")
     result = optimize.detector_sweep(args.distance, sections, line, eta_grid,
                                      channel=channel)
     rows = [(p.n_sections, p.eta, p.dark_prob, p.rate) for p in result.points]

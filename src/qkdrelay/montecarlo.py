@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import InvalidParameterError, RelayConfig
+from .params import InvalidParameterError, RelayConfig, require_count
 
 DEFAULT_CHUNK_SIZE = 250_000
 MAX_TRIALS = 2 ** 62  # overflow guard; counts are accumulated as Python ints
@@ -40,18 +40,14 @@ class TrialConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise InvalidParameterError(
-                f"trials must be an integer >= 1, got {self.trials!r}")
+        require_count("trials", self.trials, 1)
         if self.trials > MAX_TRIALS:
             raise InvalidParameterError(
                 f"trials must be <= {MAX_TRIALS}, got {self.trials}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise InvalidParameterError(
                 f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
-            raise InvalidParameterError(
-                f"chunk_size must be an integer >= 1, got {self.chunk_size!r}")
+        require_count("chunk_size", self.chunk_size, 1)
 
 
 @dataclass(frozen=True)
@@ -157,10 +153,14 @@ def simulate(config: TrialConfig, workers: int = 1) -> McEstimate:
     accepted = 0
     correct = 0
     threads = min(workers, n_chunks, os.cpu_count() or 1)
+    chunks = range(n_chunks)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for a, c in pool.map(run, range(n_chunks)):
-            accepted += a
-            correct += c
+        # one wave of ``threads`` chunks at a time, so that pending futures
+        # stay few however many chunks there are
+        for start in range(0, n_chunks, threads):
+            for a, c in pool.map(run, chunks[start:start + threads]):
+                accepted += a
+                correct += c
 
     p_hat = accepted / config.trials
     se_p = math.sqrt(p_hat * (1.0 - p_hat) / config.trials)

@@ -7,9 +7,9 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .model import evaluate, key_rates
+from .model import evaluate
 from .params import (ChannelParams, DetectorParams, InvalidParameterError,
-                     RelayConfig)
+                     RelayConfig, require_count)
 
 BISECT_TOL_KM = 0.1          # figures are read at roughly km resolution
 BRACKET_START_KM = 10.0
@@ -63,12 +63,12 @@ class DetectorSweepResult:
     best_by_n: dict[int, SweepPoint]
 
 
-def _signed_rate(n: int, distance_km: float, channel: ChannelParams,
-                 detector: DetectorParams, reconciliation: str) -> float:
-    """p_total * (i_ab - i_eve) without the clamp at zero."""
-    lm, im, _ = evaluate(RelayConfig(n, distance_km, channel, detector))
-    i_eve = im.i_be if reconciliation == "reverse" else im.i_ae
-    return lm.p_total * (im.i_ab - i_eve)
+def _rate(n: int, distance_km: float, channel: ChannelParams,
+          detector: DetectorParams, reconciliation: str = "forward") -> float:
+    """The model's key rate for ``reconciliation`` at one operating point."""
+    rates = evaluate(RelayConfig(n, distance_km, channel, detector))[2]
+    return (rates.rate_reverse if reconciliation == "reverse"
+            else rates.rate_forward)
 
 
 def _largest_distance_where(positive) -> float:
@@ -108,11 +108,9 @@ def max_distance_exact(n: int, channel: ChannelParams,
                        reconciliation: str = "forward") -> float:
     """Largest distance in km with a strictly positive key rate, to 0.1 km;
     0 when there is no key at 0 km, inf past the bracket cap."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
     _check_reconciliation(n, reconciliation)
     return _largest_distance_where(
-        lambda d: _signed_rate(n, d, channel, detector, reconciliation) > 0.0)
+        lambda d: _rate(n, d, channel, detector, reconciliation) > 0.0)
 
 
 def max_distance_approx(n: int, channel: ChannelParams,
@@ -126,8 +124,7 @@ def max_distance_approx(n: int, channel: ChannelParams,
     counts nothing lowers the visibility with distance, so the estimate's
     limit is inf when 2**(1/(2n)) * v_opt > 1 and 0 otherwise.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n!r}")
+    require_count("n", n, 1)
     margin = 2.0 ** (1.0 / (2.0 * n)) * channel.v_opt - 1.0
     if detector.dark_prob == 0.0:
         return math.inf if margin > 0.0 else 0.0
@@ -149,8 +146,7 @@ def optimal_sections(channel: ChannelParams, detector: DetectorParams,
     """Scan 1..n_max sections with ``method`` "exact" (bisection) or
     "approx" (closed-form estimate) and return (n_star, d_max_km) as
     ``best_section_count`` picks it."""
-    if not isinstance(n_max, int) or n_max < 1:
-        raise InvalidParameterError(f"n_max must be an integer >= 1, got {n_max!r}")
+    require_count("n_max", n_max, 1)
     if method not in ("exact", "approx"):
         raise InvalidParameterError(
             f"method must be 'exact' or 'approx', got {method!r}")
@@ -167,12 +163,8 @@ def threshold_distance(n: int, channel: ChannelParams,
     if not rate_threshold_per_pulse > 0:
         raise InvalidParameterError(
             f"rate threshold must be > 0, got {rate_threshold_per_pulse}")
-
-    def meets(d: float) -> bool:
-        cfg = RelayConfig(n, d, channel, detector)
-        return key_rates(cfg).rate_forward >= rate_threshold_per_pulse
-
-    return _largest_distance_where(meets)
+    return _largest_distance_where(
+        lambda d: _rate(n, d, channel, detector) >= rate_threshold_per_pulse)
 
 
 def detector_dark(eta: float, line: DetectorLine) -> float:
@@ -212,9 +204,7 @@ def detector_sweep(distance_km: float, sections: list[int],
     best_by_n: dict[int, SweepPoint] = {}
     for n in sections:
         for eta, dark in zip(eta_grid, darks):
-            cfg = RelayConfig(n, distance_km, channel,
-                              DetectorParams(eta, dark))
-            rate = key_rates(cfg).rate_forward
+            rate = _rate(n, distance_km, channel, DetectorParams(eta, dark))
             point = SweepPoint(n, eta, dark, rate)
             points.append(point)
             if n not in best_by_n or point.rate > best_by_n[n].rate:
@@ -227,9 +217,7 @@ def source_penalty(m_sources: int, emission_prob: float,
     """Cost of ``m_sources`` imperfect sources that each emit with probability
     ``emission_prob``: the signal shrinks by emission_prob**m, equivalent to
     extra fibre of (10 m / alpha) * log10(1 / emission_prob) km."""
-    if not isinstance(m_sources, int) or m_sources < 0:
-        raise InvalidParameterError(
-            f"m_sources must be an integer >= 0, got {m_sources!r}")
+    require_count("m_sources", m_sources, 0)
     if not 0 < emission_prob <= 1:
         raise InvalidParameterError(
             f"emission_prob must be in (0, 1], got {emission_prob}")

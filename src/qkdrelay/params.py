@@ -3,6 +3,7 @@ simulator and the optimizer."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 # Baseline operating point: 1550 nm telecom fibre with InGaAs APD detectors.
@@ -14,6 +15,18 @@ DEFAULT_V_OPT = 0.99
 
 class InvalidParameterError(ValueError):
     """A physical parameter is outside its supported range."""
+
+
+def require_count(name: str, value, minimum: int) -> None:
+    """Reject ``value`` unless it is an integer >= ``minimum`` that converts
+    to a float (the model computes with counts as floats)."""
+    if not isinstance(value, int) or value < minimum:
+        raise InvalidParameterError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+    if value > sys.float_info.max:
+        raise InvalidParameterError(
+            f"{name} must be <= {sys.float_info.max!r} (the largest float), "
+            f"got a {value.bit_length()}-bit integer")
 
 
 @dataclass(frozen=True)
@@ -72,9 +85,7 @@ class RelayConfig:
     detector: DetectorParams = field(default_factory=DetectorParams)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_sections, int) or self.n_sections < 1:
-            raise InvalidParameterError(
-                f"n_sections must be an integer >= 1, got {self.n_sections!r}")
+        require_count("n_sections", self.n_sections, 1)
         if not 0 <= self.distance_km < math.inf:
             raise InvalidParameterError(f"distance_km must be finite and "
                                         f">= 0, got {self.distance_km}")

@@ -52,6 +52,14 @@ def test_inclusive_grid_caps_point_count(monkeypatch):
         inclusive_grid(0.0, 10.0, 1.0)
 
 
+def test_parse_sections_caps_range_count(monkeypatch):
+    from qkdrelay import InvalidParameterError, cli
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 10)
+    assert parse_sections("3..12") == list(range(3, 13))
+    with pytest.raises(InvalidParameterError, match="exceeds 10 counts"):
+        parse_sections("3..13")
+
+
 # ---------------------------------------------------------------- visibility
 
 def test_visibility_csv_matches_model(capsys):
@@ -429,6 +437,8 @@ def test_invalid_parameter_exits_two(capsys):
     ["maxdist", "--alpha", "inf"],
     ["detector-sweep", "--distance", "inf"],
     ["mc", "--distance", "nan", "--trials", "10"],
+    ["maxdist", "--sections", "1..1000000000000000000"],
+    ["visibility", "--sections", "1..10000000000000000000"],
 ])
 def test_non_finite_or_oversized_input_exits_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -4,10 +4,12 @@ import pytest
 
 from qkdrelay.cli import build_parser, main
 
-VALUES = ["0", "-1", "1e-300", "1e300", "inf", "-inf", "nan", "abc"]
+HUGE_INT = "1" + "0" * 400  # an integer too large for a float
+VALUES = ["0", "-1", "1e-300", "1e300", "inf", "-inf", "nan", "abc", HUGE_INT]
 
-# Small grids and samples, so each case runs in milliseconds; every value
-# above that parses as an int is <= 0, so --trials and --workers stay small.
+# Small grids and samples, so each case runs in milliseconds.  Of the values
+# above that parse as an int, the positive one exceeds MAX_TRIALS, so
+# --trials rejects it and --workers is capped by the chunk count.
 BASE = {
     "visibility": ["--sections", "1..2", "--dmin", "0", "--dmax", "10",
                    "--dstep", "5"],
@@ -54,7 +56,8 @@ def test_every_flag_is_covered():
         "--emission-prob"}
 
 
-@pytest.mark.parametrize("cmd,flag,value", CASES)
+@pytest.mark.parametrize("cmd,flag,value", CASES,
+                         ids=lambda v: "10**400" if v == HUGE_INT else None)
 def test_flag_value_never_tracebacks(cmd, flag, value, tmp_path,
                                      monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # --out and --config resolve here

@@ -177,6 +177,8 @@ def test_zscore_grid_against_analytic():
     dict(trials=100, seed=-1),
     dict(trials=100, seed=2**64),
     dict(trials=100, seed=1, chunk_size=0),
+    dict(trials=10 ** 400, seed=1),
+    dict(trials=100, seed=1, chunk_size=10 ** 400),
 ])
 def test_trial_config_validation(kwargs):
     with pytest.raises(InvalidParameterError):
@@ -207,6 +209,39 @@ def test_simulate_caps_thread_count(monkeypatch, workers, chunks, expected):
     simulate(TrialConfig(make_config(1, 10.0), trials=chunks, seed=1,
                          chunk_size=1), workers=workers)
     assert sizes == [expected]
+
+
+def test_simulate_keeps_few_chunks_in_flight(monkeypatch):
+    # every chunk handed to the pool at once would hold one future per chunk
+    batches = []
+    chunks = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            batches.append(len(items))
+            return map(fn, items)
+
+    def run_chunk(model, size, seed, chunk_index):
+        chunks.append(chunk_index)
+        return size, 0
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
+    est = simulate(TrialConfig(make_config(1, 10.0), trials=1000, seed=1,
+                               chunk_size=1), workers=8)
+    assert max(batches) <= 3
+    assert sorted(chunks) == list(range(1000)) and est.accepted == 1000
 
 
 def test_simulate_rejects_bad_worker_count():

@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reference as ref
+from qkdrelay import optimize
 from qkdrelay import (BEST_LINE, DETECTOR_LINES, GOOD_LINE, NORMAL_LINE,
                       ChannelParams, DetectorLine, DetectorParams,
                       InvalidParameterError, RelayConfig, detector_dark,
@@ -32,6 +35,22 @@ def test_bisection_certificate(n):
     d = max_distance_exact(n, CHANNEL, DETECTOR)
     assert forward_rate(n, d - 0.2) > 0.0
     assert forward_rate(n, d + 0.2) <= 0.0
+
+
+def test_optimize_restates_no_rate():
+    # every cutoff, threshold and sweep reads the model's KeyRates, so a
+    # change to the rate reaches them all: optimize reads none of its inputs
+    tree = ast.parse(Path(optimize.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in {"p_total", "i_ab", "i_ae", "i_be"}, \
+                ast.unparse(node)
+
+
+def test_exact_cutoff_names_n_sections_for_a_bad_count():
+    with pytest.raises(InvalidParameterError,
+                       match=r"^n_sections must be an integer >= 1, got 0$"):
+        max_distance_exact(0, CHANNEL, DETECTOR)
 
 
 def test_reverse_beats_forward():
@@ -286,6 +305,7 @@ def test_source_penalty_perfect_source_costs_nothing():
 
 @pytest.mark.parametrize("m,p,alpha", [
     (-1, 0.1, 0.25), (1, 0.0, 0.25), (1, 1.5, 0.25), (1, 0.1, 0.0),
+    pytest.param(10 ** 400, 0.1, 0.25, id="10**400-0.1-0.25"),
 ])
 def test_source_penalty_validation(m, p, alpha):
     with pytest.raises(InvalidParameterError):
@@ -305,3 +325,10 @@ def test_max_distance_validation():
         optimal_sections(CHANNEL, DETECTOR, 0)
     with pytest.raises(InvalidParameterError):
         optimal_sections(CHANNEL, DETECTOR, 5, "guess")
+    for huge in (10 ** 400, -10 ** 400):
+        with pytest.raises(InvalidParameterError):
+            max_distance_exact(huge, CHANNEL, DETECTOR)
+        with pytest.raises(InvalidParameterError):
+            max_distance_approx(huge, CHANNEL, DETECTOR)
+        with pytest.raises(InvalidParameterError):
+            optimal_sections(CHANNEL, DETECTOR, huge)

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -38,7 +39,9 @@ def test_detector_params_allows_zero_dark():
 
 
 @pytest.mark.parametrize("n,d", [(0, 10.0), (-3, 10.0), (2, -1.0),
-                                 (2, float("inf")), (2, float("nan"))])
+                                 (2, float("inf")), (2, float("nan")),
+                                 pytest.param(10 ** 400, 10.0,
+                                              id="10**400-10.0")])
 def test_relay_config_rejects_out_of_range(n, d):
     with pytest.raises(InvalidParameterError):
         RelayConfig(n, d)
@@ -47,6 +50,15 @@ def test_relay_config_rejects_out_of_range(n, d):
 def test_relay_config_rejects_non_integer_sections():
     with pytest.raises(InvalidParameterError):
         RelayConfig(2.0, 10.0)  # type: ignore[arg-type]
+
+
+def test_count_beyond_the_largest_float_names_the_bound():
+    # the model computes with n_sections as a float
+    assert RelayConfig(int(sys.float_info.max), 10.0).n_sections > 0
+    message = (r"^n_sections must be <= 1\.7976931348623157e\+308 "
+               r"\(the largest float\), got a 1329-bit integer$")
+    with pytest.raises(InvalidParameterError, match=message):
+        RelayConfig(10 ** 400, 10.0)
 
 
 def test_section_length():
