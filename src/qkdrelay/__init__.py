@@ -10,8 +10,7 @@ from .optimize import (BEST_LINE, DETECTOR_LINES, GOOD_LINE, NORMAL_LINE,
                        DetectorLine, DetectorSweepResult, SourcePenalty,
                        SweepPoint, detector_dark, detector_sweep,
                        max_distance_approx, max_distance_exact,
-                       max_eta_on_line, optimal_sections, source_penalty,
-                       threshold_distance)
+                       optimal_sections, source_penalty, threshold_distance)
 from .params import (ChannelParams, DetectorParams, InvalidParameterError,
                      RelayConfig)
 
@@ -28,7 +27,7 @@ __all__ = [
     "DetectorLine", "SourcePenalty", "SweepPoint", "DetectorSweepResult",
     "NORMAL_LINE", "GOOD_LINE", "BEST_LINE", "DETECTOR_LINES",
     "max_distance_exact", "max_distance_approx", "optimal_sections",
-    "threshold_distance", "detector_dark", "max_eta_on_line",
-    "detector_sweep", "source_penalty",
+    "threshold_distance", "detector_dark", "detector_sweep",
+    "source_penalty",
     "__version__",
 ]

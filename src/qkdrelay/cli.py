@@ -197,7 +197,7 @@ def _cmd_visibility(args, params, channel, detector):
 def _cmd_keyrate(args, params, channel, detector):
     sections = parse_sections(args.sections)
     reverse = args.reconciliation == "reverse"
-    if reverse and sections != [1]:
+    if reverse and any(n != 1 for n in sections):
         raise InvalidParameterError(
             "reverse reconciliation requires --sections 1")
     grid = inclusive_grid(args.dmin, args.dmax, args.dstep)

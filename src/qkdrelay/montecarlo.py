@@ -126,6 +126,8 @@ def _run_chunk(model: _PulseModel, size: int, seed: int,
         # click is completed by a dark count.  Otherwise each photon-less
         # side must be faked by a dark count.
         accepted &= (u1 < gr) & (u2 < gr) & (~both | resolved | rescued)
+        if not accepted.any():                 # every pulse rejected: the
+            return 0, 0                        # later draws change no count
         all_genuine &= both & resolved
 
     clean_optics = rng.random(size) < model.v_chain

@@ -142,17 +142,13 @@ def best_section_count(cutoffs: Iterable[tuple[int, float]],
 
 
 def optimal_sections(channel: ChannelParams, detector: DetectorParams,
-                     n_max: int, method: str = "exact") -> tuple[int, float]:
-    """Scan 1..n_max sections with ``method`` "exact" (bisection) or
-    "approx" (closed-form estimate) and return (n_star, d_max_km) as
-    ``best_section_count`` picks it."""
+                     n_max: int) -> tuple[int, float]:
+    """Scan the exact cutoffs of 1..n_max sections and return
+    (n_star, d_max_km) as ``best_section_count`` picks it."""
     require_count("n_max", n_max, 1)
-    if method not in ("exact", "approx"):
-        raise InvalidParameterError(
-            f"method must be 'exact' or 'approx', got {method!r}")
-    cutoff = max_distance_exact if method == "exact" else max_distance_approx
     return best_section_count(
-        (n, cutoff(n, channel, detector)) for n in range(1, n_max + 1))
+        (n, max_distance_exact(n, channel, detector))
+        for n in range(1, n_max + 1))
 
 
 def threshold_distance(n: int, channel: ChannelParams,
@@ -181,16 +177,9 @@ def detector_dark(eta: float, line: DetectorLine) -> float:
     return dark
 
 
-def max_eta_on_line(line: DetectorLine) -> float:
-    """Largest efficiency for which the line stays strictly below dark = 0.5;
-    0 when the line is invalid everywhere."""
-    edge = math.log(0.5 / line.a_coeff) / line.b_coeff * (1.0 - 1e-12)
-    return min(1.0, max(0.0, edge))
-
-
 def detector_sweep(distance_km: float, sections: list[int],
                    line: DetectorLine, eta_grid: list[float],
-                   channel: ChannelParams | None = None) -> DetectorSweepResult:
+                   channel: ChannelParams) -> DetectorSweepResult:
     """Forward key rate over an (n, eta) grid with darks taken from the line.
 
     The best grid point per section count maximizes the rate; ties go to the
@@ -198,7 +187,6 @@ def detector_sweep(distance_km: float, sections: list[int],
     """
     if not sections or not eta_grid:
         raise InvalidParameterError("sections and eta_grid must be non-empty")
-    channel = channel if channel is not None else ChannelParams()
     darks = [detector_dark(eta, line) for eta in eta_grid]
     points: list[SweepPoint] = []
     best_by_n: dict[int, SweepPoint] = {}

@@ -89,7 +89,3 @@ class RelayConfig:
         if not 0 <= self.distance_km < math.inf:
             raise InvalidParameterError(f"distance_km must be finite and "
                                         f">= 0, got {self.distance_km}")
-
-    @property
-    def section_length_km(self) -> float:
-        return self.distance_km / self.n_sections

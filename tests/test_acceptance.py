@@ -48,7 +48,7 @@ def test_criterion_02_reverse_beats_forward():
 
 def test_criterion_03_optimal_relay():
     t0 = time.perf_counter()
-    n_star, d_star = optimal_sections(CHANNEL, DETECTOR, 30, "exact")
+    n_star, d_star = optimal_sections(CHANNEL, DETECTOR, 30)
     elapsed = time.perf_counter() - t0
     ok = 16 <= n_star <= 20 and 600.0 <= d_star <= 700.0 and elapsed < 10.0
     _report(3, "optimal relay", ok,

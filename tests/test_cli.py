@@ -143,6 +143,18 @@ def test_keyrate_reverse_needs_single_section(capsys):
     assert "reverse" in err
 
 
+def test_keyrate_reverse_accepts_repeated_single_section(capsys):
+    # every count in the spec is 1, as maxdist accepts repeated counts
+    args = ["keyrate", "--reconciliation", "reverse", "--dmax", "20",
+            "--dstep", "10"]
+    code_1, out_1, _ = run_cli(capsys, *args, "--sections", "1")
+    code_11, out_11, err = run_cli(capsys, *args, "--sections", "1,1")
+    assert code_1 == code_11 == 0 and err == ""
+    _, rows_1 = csv_rows(out_1)
+    _, rows_11 = csv_rows(out_11)
+    assert rows_11 == rows_1 + rows_1
+
+
 def test_keyrate_empty_range_gives_header_only(capsys):
     code, out, _ = run_cli(capsys, "keyrate", "--sections", "1..5",
                            "--dmin", "50", "--dmax", "10", "--dstep", "5")
@@ -224,12 +236,17 @@ def test_keyrate_without_darks_is_degenerate_below_normal_range(capsys):
 
 @pytest.mark.parametrize("method", ["exact", "approx"])
 def test_maxdist_summary_is_optimal_sections(capsys, method):
-    from qkdrelay import ChannelParams, DetectorParams, optimal_sections
+    from qkdrelay import ChannelParams, DetectorParams, optimize
     code, out, _ = run_cli(capsys, "maxdist", "--format", "json",
                            "--sections", "1..30", "--method", method)
     assert code == 0
-    n_star, d_star = optimal_sections(ChannelParams(), DetectorParams(), 30,
-                                      method)
+    channel, detector = ChannelParams(), DetectorParams()
+    if method == "exact":
+        n_star, d_star = optimize.optimal_sections(channel, detector, 30)
+    else:
+        n_star, d_star = optimize.best_section_count(
+            (n, optimize.max_distance_approx(n, channel, detector))
+            for n in range(1, 31))
     assert json.loads(out)["summary"] == {"n_star": n_star,
                                           "d_max_km": float(f"{d_star:.10g}")}
 

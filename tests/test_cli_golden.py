@@ -4,7 +4,9 @@ The first 22 digests were frozen from the release that preceded the fused
 model evaluation and the single table writer; the dead-link and zero-error
 ``mc`` reports and the duplicate-section and 16..20 ``maxdist`` tables from
 the release that preceded moving the z-score and section-count rules out of
-the CLI.  A changed byte is a regression to fix, not a digest to update.
+the CLI; the 2001-section ``mc`` report from the release that preceded the
+Monte Carlo stopping a chunk once every pulse is rejected.  A changed byte is
+a regression to fix, not a digest to update.
 """
 import hashlib
 
@@ -45,6 +47,8 @@ CASES = {
                                    "--method", "both"],
     "maxdist-exact-16-20": ["maxdist", "--sections", "16..20", "--method",
                             "exact"],
+    "mc-many-sections": ["mc", "--sections", "2001", "--distance", "50",
+                         "--trials", "10"],
 }
 
 DIGESTS = {
@@ -104,6 +108,8 @@ DIGESTS = {
         "f260141369bb195a539d5756b7b155e4ca1a44a85bb6b0a01226ea496b308921",
     ('maxdist-exact-16-20', 'json'):
         "ac191147616e26638aa3bacf837e23d6e439793f0cd8dc2b44432e1d47d4fe79",
+    ('mc-many-sections', 'json'):
+        "c6680f9624735f70b58814b056fd6f08cf205b0c2e1bd4bad764d07eab7905bb",
 }
 
 

@@ -389,8 +389,8 @@ def test_rate_below_repeaterless_bound_of_one_section():
     for dark_zero, d_hi in INVARIANT_INPUTS:
         for _ in range(10_000):
             cfg = ref.random_config(rng, d_hi=d_hi, dark_zero=dark_zero)
-            t_section = ref.fibre_transmission(cfg.channel.alpha_db_per_km,
-                                               cfg.section_length_km)
+            t_section = ref.fibre_transmission(
+                cfg.channel.alpha_db_per_km, cfg.distance_km / cfg.n_sections)
             bound = (-math.log1p(-t_section) / math.log(2.0)
                      if t_section < 1.0 else math.inf)
             assert key_rates(cfg).rate_forward <= bound, cfg

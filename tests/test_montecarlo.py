@@ -106,6 +106,24 @@ def test_zero_accepted_yields_nan_visibility():
     assert math.isnan(est.se_v_ab)
 
 
+def test_chunk_stops_drawing_once_every_pulse_is_rejected(monkeypatch):
+    # 1000 Bell stations of 4 draws each (4004 draws in all); with eta = 0.3
+    # a station passes a pulse with probability under 0.05, so all 10 pulses
+    # are gone after a station or two, and the counts cannot change after that
+    draws = []
+
+    class CountingGenerator(montecarlo.np.random.Generator):
+        def random(self, *args, **kwargs):
+            draws.append(1)
+            return super().random(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo.np.random, "Generator", CountingGenerator)
+    est = simulate(TrialConfig(RelayConfig(2001, 50.0), trials=10, seed=1,
+                               chunk_size=10))
+    assert (est.accepted, est.correct) == (0, 0)
+    assert 0 < len(draws) < 100
+
+
 def test_generator_metadata_names_the_substream_scheme():
     assert "philox" in GENERATOR_METADATA["algorithm"].lower()
     assert "chunk" in GENERATOR_METADATA["substreams"]

@@ -11,8 +11,8 @@ from qkdrelay import (BEST_LINE, DETECTOR_LINES, GOOD_LINE, NORMAL_LINE,
                       ChannelParams, DetectorLine, DetectorParams,
                       InvalidParameterError, RelayConfig, detector_dark,
                       detector_sweep, evaluate, key_rates, max_distance_approx,
-                      max_distance_exact, max_eta_on_line, optimal_sections,
-                      source_penalty, threshold_distance)
+                      max_distance_exact, optimal_sections, source_penalty,
+                      threshold_distance)
 
 CHANNEL = ChannelParams()
 DETECTOR = DetectorParams()
@@ -65,7 +65,7 @@ def test_reverse_requires_single_section():
         max_distance_exact(2, CHANNEL, DETECTOR, "reverse")
 
 
-def test_signed_rate_changes_sign_at_most_once():
+def test_rate_changes_sign_at_most_once():
     # the assumption behind the bisection: positive up to the cutoff, never
     # positive again beyond it; without dark counts the cutoff is the
     # horizon where p_total leaves the normal range, thousands of km out
@@ -123,29 +123,37 @@ def test_approx_without_darks_is_its_limit():
 
 # ------------------------------------------------------------ optimal sections
 
+def approx_optimum(channel, n_max):
+    # the closed-form optimum, as ``maxdist --method approx`` picks it
+    return optimize.best_section_count(
+        (n, max_distance_approx(n, channel, DETECTOR))
+        for n in range(1, n_max + 1))
+
+
 def test_optimal_sections_exact():
-    n_star, d_star = optimal_sections(CHANNEL, DETECTOR, 30, "exact")
+    n_star, d_star = optimal_sections(CHANNEL, DETECTOR, 30)
     assert 16 <= n_star <= 20
     assert 600.0 <= d_star <= 700.0
 
 
 def test_optimal_sections_single_candidate():
-    for method in ("exact", "approx"):
-        n_star, _ = optimal_sections(CHANNEL, DETECTOR, 1, method)
+    for n_star, _ in (optimal_sections(CHANNEL, DETECTOR, 1),
+                      approx_optimum(CHANNEL, 1)):
         assert n_star == 1
 
 
 def test_optimal_sections_approx_close_to_exact_optimum():
-    _, d_exact = optimal_sections(CHANNEL, DETECTOR, 30, "exact")
-    _, d_approx = optimal_sections(CHANNEL, DETECTOR, 30, "approx")
+    _, d_exact = optimal_sections(CHANNEL, DETECTOR, 30)
+    _, d_approx = approx_optimum(CHANNEL, 30)
     assert abs(d_approx - d_exact) / d_exact <= 0.15
 
 
 def test_optimal_sections_ties_break_to_fewer_sections():
     # no key anywhere: every candidate ties at zero distance
     channel = ChannelParams(0.25, 0.705)
-    n_star, d_star = optimal_sections(channel, DETECTOR, 2, "approx")
-    assert (n_star, d_star) == (1, 0.0)
+    for n_star, d_star in (optimal_sections(channel, DETECTOR, 2),
+                           approx_optimum(channel, 2)):
+        assert (n_star, d_star) == (1, 0.0)
 
 
 def test_approx_tracks_exact_in_its_validity_region():
@@ -223,17 +231,10 @@ def test_detector_dark_rejects_bad_efficiency():
         detector_dark(0.0, GOOD_LINE)
 
 
-def test_max_eta_on_line_is_the_validity_edge():
-    edge = max_eta_on_line(GOOD_LINE)
-    assert detector_dark(edge, GOOD_LINE) < 0.5
-    assert edge < 1.0
-    with pytest.raises(InvalidParameterError, match=OUT_OF_MODEL):
-        detector_dark(min(1.0, edge * 1.01), GOOD_LINE)
-
-
 def test_detector_sweep_400km():
     grid = [i / 100 for i in range(2, 31)]
-    result = detector_sweep(400.0, [1, 2, 3, 4, 5, 6], GOOD_LINE, grid)
+    result = detector_sweep(400.0, [1, 2, 3, 4, 5, 6], GOOD_LINE, grid,
+                            CHANNEL)
     by_n = {}
     for p in result.points:
         by_n.setdefault(p.n_sections, []).append(p)
@@ -247,27 +248,27 @@ def test_detector_sweep_400km():
 
 def test_detector_sweep_best_dominates_grid():
     grid = [i / 100 for i in range(5, 30, 5)]
-    result = detector_sweep(400.0, [4, 5], GOOD_LINE, grid)
+    result = detector_sweep(400.0, [4, 5], GOOD_LINE, grid, CHANNEL)
     for p in result.points:
         assert result.best_by_n[p.n_sections].rate >= p.rate
 
 
 def test_detector_sweep_single_point_grid():
-    result = detector_sweep(200.0, [4], GOOD_LINE, [0.2])
+    result = detector_sweep(200.0, [4], GOOD_LINE, [0.2], CHANNEL)
     assert len(result.points) == 1
     assert result.best_by_n[4] == result.points[0]
 
 
 def test_detector_sweep_rejects_empty_grids():
     with pytest.raises(InvalidParameterError):
-        detector_sweep(400.0, [], GOOD_LINE, [0.1])
+        detector_sweep(400.0, [], GOOD_LINE, [0.1], CHANNEL)
     with pytest.raises(InvalidParameterError):
-        detector_sweep(400.0, [4], GOOD_LINE, [])
+        detector_sweep(400.0, [4], GOOD_LINE, [], CHANNEL)
 
 
 def test_detector_sweep_propagates_out_of_model():
     with pytest.raises(InvalidParameterError, match=OUT_OF_MODEL):
-        detector_sweep(400.0, [4], GOOD_LINE, [0.2, 0.85])
+        detector_sweep(400.0, [4], GOOD_LINE, [0.2, 0.85], CHANNEL)
 
 
 def test_detector_line_validation():
@@ -323,8 +324,6 @@ def test_max_distance_validation():
         max_distance_approx(0, CHANNEL, DETECTOR)
     with pytest.raises(InvalidParameterError):
         optimal_sections(CHANNEL, DETECTOR, 0)
-    with pytest.raises(InvalidParameterError):
-        optimal_sections(CHANNEL, DETECTOR, 5, "guess")
     for huge in (10 ** 400, -10 ** 400):
         with pytest.raises(InvalidParameterError):
             max_distance_exact(huge, CHANNEL, DETECTOR)

@@ -61,11 +61,6 @@ def test_count_beyond_the_largest_float_names_the_bound():
         RelayConfig(10 ** 400, 10.0)
 
 
-def test_section_length():
-    cfg = RelayConfig(4, 100.0)
-    assert cfg.section_length_km == 25.0
-
-
 def test_types_are_immutable():
     cfg = RelayConfig(2, 50.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
