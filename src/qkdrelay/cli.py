@@ -37,40 +37,41 @@ def _fmt(x: float) -> str:
     return format(x, ".10g")
 
 
-def _json_safe(obj):
-    """Round floats to 10 significant digits; non-finite values become null."""
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return None
-        return float(_fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
-
-
 def _csv_field(x) -> str:
     if x is None:
         return ""
     return str(x) if isinstance(x, int) else _fmt(x)
 
 
-def _json_value(x) -> str:
-    """A row value (int, float or None) exactly as
-    ``json.dumps(_json_safe(x))`` writes it."""
-    if isinstance(x, float):
-        return repr(float(_fmt(x))) if math.isfinite(x) else "null"
-    return "null" if x is None else str(x)
+def _json(obj, pad: str = "") -> str:
+    """``obj`` as ``json.dumps`` with ``indent=2`` writes it, nested at
+    ``pad``, with floats rounded to 10 significant digits and then null if
+    not finite (1.7976931348623157e308 rounds to inf)."""
+    if isinstance(obj, float):
+        obj = float(_fmt(obj))
+        return repr(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return str(obj)
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [inner + json.dumps(k) + ": " + _json(v, inner)
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    return ("[\n" + ",\n".join([inner + _json(v, inner) for v in obj])
+            + "\n" + pad + "]")
 
 
 def _json_rows(header: list[str], rows: list) -> str:
-    """Row objects as ``json.dumps(..., indent=2)`` nests them one level deep,
-    written in one pass instead of by the pure-Python indenting encoder."""
+    """Row objects as ``_json`` nests them one level deep, with each key
+    encoded once per table instead of once per row."""
     if not rows:
         return "[]"
     keys = ["      " + json.dumps(k) + ": " for k in header]
-    objects = ("    {\n" + ",\n".join([k + _json_value(v)
+    objects = ("    {\n" + ",\n".join([k + _json(v)
                                         for k, v in zip(keys, row)])
                + "\n    }" for row in rows)
     return "[\n" + ",\n".join(objects) + "\n  ]"
@@ -82,19 +83,18 @@ def _table(fmt: str, params: dict, header: list[str], rows: list,
     """The one writer of every subcommand's output.
 
     CSV: a parameter comment, ``comments``, the header and one line per row.
-    JSON: ``json.dumps(_json_safe({"params": params, **fields}), indent=2)``
-    where ``fields`` defaults to ``{"rows": rows}`` and the ``rows`` list
-    stands for one object per row keyed by ``header``.
+    JSON: ``_json({"params": params, **fields})``, where ``fields`` defaults
+    to ``{"rows": rows}`` and the ``rows`` list stands for one object per row
+    keyed by ``header``.
     """
     if fmt == "json":
         fields = {"params": params,
                   **(fields if fields is not None else {"rows": rows})}
-        body = ",\n".join(
+        return "{\n" + ",\n".join(
             "  " + json.dumps(key) + ": "
             + (_json_rows(header, rows) if value is rows else
-               json.dumps(_json_safe(value), indent=2).replace("\n", "\n  "))
-            for key, value in fields.items())
-        return "{\n" + body + "\n}\n"
+               _json(value, "  "))
+            for key, value in fields.items()) + "\n}\n"
     lines = ["# " + " ".join(k + "=" + _fmt(v) for k, v in params.items()),
              *(comments or []), ",".join(header)]
     lines.extend(",".join(map(_csv_field, row)) for row in rows)
@@ -105,20 +105,18 @@ def parse_sections(spec: str) -> list[int]:
     """Accept 'lo..hi' of at most MAX_GRID_POINTS counts, a comma list
     'a,b,c', or a single integer."""
     spec = spec.strip()
+    lo, dots, hi = spec.partition("..")
     try:
-        if ".." in spec:
-            lo, hi = (int(tok) for tok in spec.split("..", 1))
-            if hi < lo:
-                raise ValueError
-        else:
-            values = [int(tok) for tok in spec.split(",")]
+        values = [int(tok) for tok in ((lo, hi) if dots else spec.split(","))]
     except ValueError:
-        raise InvalidParameterError(f"cannot parse section spec {spec!r}") from None
-    if ".." in spec:
-        if hi - lo >= MAX_GRID_POINTS:
+        values = []
+    if not values or (dots and values[1] < values[0]):
+        raise InvalidParameterError(f"cannot parse section spec {spec!r}")
+    if dots:
+        if values[1] - values[0] >= MAX_GRID_POINTS:
             raise InvalidParameterError(
                 f"section range {spec!r} exceeds {MAX_GRID_POINTS} counts")
-        values = list(range(lo, hi + 1))
+        values = list(range(values[0], values[1] + 1))
     if any(n < 1 for n in values):
         raise InvalidParameterError(f"section counts must be >= 1 in {spec!r}")
     return values

@@ -27,13 +27,11 @@ from .params import InvalidParameterError, RelayConfig
 class LinkMetrics:
     """Click-level description of the sifted key channel."""
 
-    t: float                # end-to-end fibre transmission
     t_section: float        # per-section transmission t**(1/n)
     p_click: float          # accepted-click probability of one station
     p_signal: float         # pulse yields a noiseless sifted bit
     p_total: float          # pulse yields a sifted bit at all
     v_ab: float             # visibility of Alice's bit at Bob, p_signal/p_total
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,6 @@ class InfoMetrics:
     v_ab_e: float           # visibility of the error channel Eve can exploit
     p_photonpass: float     # fraction of sifted bits carried by a real photon
     v_ae_n: float           # Eve's dark-count-diluted visibility
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -54,7 +51,7 @@ class KeyRates:
     """Distillable secret bits per pulse sent."""
 
     rate_forward: float
-    rate_reverse: float | None = None  # defined for single-section links only
+    rate_reverse: float | None  # defined for single-section links only
 
 
 def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
@@ -88,9 +85,10 @@ def link_metrics(config: RelayConfig) -> LinkMetrics:
 
     A p_total below the smallest normal double (possible only without dark
     counts, or with tiny ones, once the per-section transmission
-    underflows) is reported with the ``degenerate`` flag instead of raising,
-    so that parameter sweeps never abort: a subnormal p_signal / p_total
-    carries no significant digits.
+    underflows) is reported as a degenerate link, ``p_total == 0.0`` with
+    p_signal and v_ab 0 too, instead of raising, so that parameter sweeps
+    never abort: a subnormal p_signal / p_total carries no significant digits.
+    Every other link has ``p_total >= sys.float_info.min``.
     """
     n = config.n_sections
     eta = config.detector.eta
@@ -111,12 +109,11 @@ def link_metrics(config: RelayConfig) -> LinkMetrics:
     p_total = 0.5 * p_click ** n_term * bell_accept ** n_bell
 
     if p_total < sys.float_info.min:
-        return LinkMetrics(t, t_section, p_click, 0.0, 0.0, 0.0,
-                           degenerate=True)
+        return LinkMetrics(t_section, p_click, 0.0, 0.0, 0.0)
     # p_signal <= p_total holds exactly; guard the few-ulp rounding gap, after
     # which the correctly rounded ratio cannot exceed 1.
     p_signal = min(p_signal, p_total)
-    return LinkMetrics(t, t_section, p_click, p_signal, p_total,
+    return LinkMetrics(t_section, p_click, p_signal, p_total,
                        p_signal / p_total)
 
 
@@ -145,8 +142,8 @@ def evaluate(config: RelayConfig) -> tuple[LinkMetrics, InfoMetrics, KeyRates]:
     ``link_metrics`` evaluation; see ``info_metrics`` and ``key_rates``."""
     lm = link_metrics(config)
     n = config.n_sections
-    if lm.degenerate:
-        im = InfoMetrics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, degenerate=True)
+    if lm.p_total == 0.0:
+        im = InfoMetrics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     else:
         eta = config.detector.eta
         dk = config.detector.dark_prob

@@ -11,9 +11,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = Path(qkdrelay.__file__).resolve().parent
 
 # (module, function, raised name) of the raises that are not rejected inputs:
-# parse_sections catches its own ValueError, run exits with main's code
-OTHER_RAISES = {("cli.py", "parse_sections", "ValueError"),
-                ("cli.py", "run", "SystemExit")}
+# run exits with main's code
+OTHER_RAISES = {("cli.py", "run", "SystemExit")}
 
 
 def _raises(node, function=None):

@@ -231,7 +231,7 @@ def test_keyrate_without_darks_is_degenerate_below_normal_range(capsys):
     assert len(rows) == 1001
     assert {(r[2], r[6]) for r in rows} == {("0", "0")}
     assert link_metrics(RelayConfig(4, 12808.6, ChannelParams(0.25, 0.9),
-                                    DetectorParams(0.3, 0.0))).degenerate
+                                    DetectorParams(0.3, 0.0))).p_total == 0.0
 
 
 @pytest.mark.parametrize("method", ["exact", "approx"])
@@ -305,6 +305,18 @@ def test_detector_sweep_json_best(capsys):
     doc = json.loads(out)
     assert 0.14 <= doc["best"]["4"]["eta"] <= 0.22
     assert doc["best"]["4"]["rate"] >= doc["best"]["5"]["rate"]
+
+
+def test_json_writes_a_float_that_rounds_to_inf_as_null(capsys):
+    # 10 significant digits round the largest double up to inf, which is not
+    # a JSON number
+    code, out, _ = run_cli(capsys, "detector-sweep", "--format", "json",
+                           "--distance", "1.7976931348623157e308",
+                           "--sections", "4", "--eta-min", "0.1",
+                           "--eta-max", "0.1")
+    assert code == 0
+    doc = json.loads(out, parse_constant=pytest.fail)
+    assert doc["distance_km"] is None
 
 
 # ------------------------------------------------------------------------ mc

@@ -94,7 +94,7 @@ def test_link_metrics_perfect_apparatus():
     assert lm.p_signal == 0.5
     assert lm.p_total == 0.5
     assert lm.v_ab == 1.0
-    assert not lm.degenerate
+    assert lm.p_total > 0.0
 
 
 def test_link_metrics_one_section_100km():
@@ -161,11 +161,9 @@ def test_visibility_non_increasing_in_distance():
 def test_degenerate_link_flagged_not_raised():
     # dark-free link beyond fibre-transmission underflow
     lm = link_metrics(make_config(1, 20000.0, dark=0.0))
-    assert lm.degenerate
     assert lm.p_total == 0.0
     assert lm.v_ab == 0.0
     im = info_metrics(make_config(1, 20000.0, dark=0.0))
-    assert im.degenerate
     assert im.i_ab == im.i_ae == im.i_be == 0.0
     kr = key_rates(make_config(1, 20000.0, dark=0.0))
     assert kr.rate_forward == 0.0
@@ -307,7 +305,7 @@ def test_evaluate_equals_single_purpose_calls():
                 got = evaluate(cfg)
                 assert got == separately(cfg)
                 assert eve_usable_visibility(cfg) == got[1].v_ab_e
-                degenerate += got[0].degenerate
+                degenerate += got[0].p_total == 0.0
     assert degenerate > 100
 
 
