@@ -14,13 +14,12 @@ import sys
 from pathlib import Path
 
 from . import montecarlo, optimize
-from .model import evaluate, link_metrics
+from .model import check_reconciliation, evaluate, link_metrics
 from .optimize import DETECTOR_LINES, DetectorLine
 from .params import (DEFAULT_ALPHA_DB_PER_KM, DEFAULT_DARK_PROB, DEFAULT_ETA,
                      DEFAULT_V_OPT, ChannelParams, DetectorParams,
                      InvalidParameterError, RelayConfig)
 
-Z_THRESHOLD = 4.0
 # Points per distance or efficiency axis; checked before a grid is built.
 MAX_GRID_POINTS = 1_000_000
 
@@ -146,7 +145,11 @@ def inclusive_grid(lo: float, hi: float, step: float) -> list[float]:
 def _load_config_file(path: str) -> dict:
     """Plain key=value file; keys alpha, eta, dark, vopt; '#' comments allowed."""
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise InvalidParameterError(
+            f"{path}: config file is not UTF-8 text") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -194,10 +197,9 @@ def _cmd_visibility(args, params, channel, detector):
 
 def _cmd_keyrate(args, params, channel, detector):
     sections = parse_sections(args.sections)
+    for n in sections:
+        check_reconciliation(n, args.reconciliation)
     reverse = args.reconciliation == "reverse"
-    if reverse and any(n != 1 for n in sections):
-        raise InvalidParameterError(
-            "reverse reconciliation requires --sections 1")
     grid = inclusive_grid(args.dmin, args.dmax, args.dstep)
     rows = []
     for n in sections:
@@ -265,15 +267,7 @@ def _cmd_mc(args, params, channel, detector):
                                    args.chunk_size)
     est = montecarlo.simulate(trial, workers=args.workers)
     lm = link_metrics(relay)
-
-    z_p, z_v = montecarlo.zscore(est, lm.p_total, lm.v_ab)
-    # an estimator whose own standard error is 0 or undefined is flagged,
-    # though the analytic-SE z-score may still apply
-    degenerate = [name for name, se in (("p_total", est.se_p_total),
-                                        ("v_ab", est.se_v_ab))
-                  if not se > 0.0]
-    passed = all(abs(z) <= Z_THRESHOLD for z in (z_p, z_v) if z is not None)
-
+    scores, passed = montecarlo.verdict(est, lm.p_total, lm.v_ab)
     report = {
         "config": {"n_sections": args.sections, "distance_km": args.distance,
                    "trials": args.trials, "seed": args.seed,
@@ -282,9 +276,8 @@ def _cmd_mc(args, params, channel, detector):
         "estimate": {"accepted": est.accepted, "correct": est.correct,
                      "p_total_hat": est.p_total_hat, "v_ab_hat": est.v_ab_hat,
                      "se_p_total": est.se_p_total, "se_v_ab": est.se_v_ab},
-        "z_scores": {"p_total": z_p, "v_ab": z_v,
-                     "degenerate_sample": degenerate},
-        "threshold": Z_THRESHOLD,
+        "z_scores": scores,
+        "threshold": montecarlo.Z_THRESHOLD,
         "pass": passed,
         "generator": montecarlo.GENERATOR_METADATA,
     }
@@ -301,27 +294,20 @@ def _cmd_source_penalty(args, params, channel, detector):
                   fields=dict(zip(header, row))), 0
 
 
-_HANDLERS = {
-    "visibility": _cmd_visibility,
-    "keyrate": _cmd_keyrate,
-    "maxdist": _cmd_maxdist,
-    "detector-sweep": _cmd_detector_sweep,
-    "mc": _cmd_mc,
-    "source-penalty": _cmd_source_penalty,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     group = common.add_argument_group("global options")
     group.add_argument("--alpha", type=float, default=None,
-                       help="fibre loss in dB/km (default 0.25)")
+                       help="fibre loss in dB/km "
+                            f"(default {DEFAULT_ALPHA_DB_PER_KM:g})")
     group.add_argument("--eta", type=float, default=None,
-                       help="detector efficiency (default 0.3)")
+                       help=f"detector efficiency (default {DEFAULT_ETA:g})")
     group.add_argument("--dark", type=float, default=None,
-                       help="dark-count probability per gate (default 1e-4)")
+                       help="dark-count probability per gate "
+                            f"(default {DEFAULT_DARK_PROB:g})")
     group.add_argument("--vopt", type=float, default=None,
-                       help="single-section optical visibility (default 0.99)")
+                       help="single-section optical visibility "
+                            f"(default {DEFAULT_V_OPT:g})")
     group.add_argument("--config", metavar="PATH", default=None,
                        help="key=value file with alpha/eta/dark/vopt; "
                             "flags override the file")
@@ -339,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("visibility", parents=[common],
                        help="visibility of Alice's bit at Bob over a "
                             "(sections, distance) grid")
+    p.set_defaults(handler=_cmd_visibility)
     p.add_argument("--sections", default="1..10",
                    help="'lo..hi', 'a,b,c' or a single integer (default 1..10)")
     p.add_argument("--dmin", type=float, default=0.0)
@@ -348,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keyrate", parents=[common],
                        help="secret-key rate and mutual informations over a "
                             "(sections, distance) grid")
+    p.set_defaults(handler=_cmd_keyrate)
     p.add_argument("--sections", default="1..20")
     p.add_argument("--dmin", type=float, default=0.0)
     p.add_argument("--dmax", type=float, default=700.0)
@@ -358,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maxdist", parents=[common],
                        help="maximum secret-key distance per section count")
+    p.set_defaults(handler=_cmd_maxdist)
     p.add_argument("--sections", default="1..30")
     p.add_argument("--method", choices=("exact", "approx", "both"),
                    default="both")
@@ -365,9 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detector-sweep", parents=[common],
                        help="key rate across the detector efficiency/dark "
                             "tradeoff line at a fixed distance")
+    p.set_defaults(handler=_cmd_detector_sweep)
     p.add_argument("--distance", type=float, default=400.0)
     p.add_argument("--sections", default="4,5,6")
-    p.add_argument("--line", choices=("normal", "good", "best", "custom"),
+    p.add_argument("--line", choices=(*DETECTOR_LINES, "custom"),
                    default="good")
     p.add_argument("--line-a", type=float, default=None,
                    help="custom line: dark probability at eta=0")
@@ -379,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", parents=[common],
                        help="Monte Carlo cross-check of p_total and v_ab "
-                            "(JSON report; exits 1 when |z| > 4)")
+                            "(JSON report; exits 1 when "
+                            f"|z| > {montecarlo.Z_THRESHOLD:g})")
+    p.set_defaults(handler=_cmd_mc)
     p.add_argument("--sections", type=int, default=1)
     p.add_argument("--distance", type=float, default=50.0)
     p.add_argument("--trials", type=int, default=1_000_000)
@@ -391,6 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("source-penalty", parents=[common],
                        help="rate factor and distance loss of imperfect "
                             "single-photon/pair sources")
+    p.set_defaults(handler=_cmd_source_penalty)
     p.add_argument("--sources", type=int, required=True,
                    help="number of sources in the chain")
     p.add_argument("--emission-prob", type=float, default=0.1,
@@ -413,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         params = _resolve_params(args)
         channel = ChannelParams(params["alpha"], params["vopt"])
         detector = DetectorParams(params["eta"], params["dark"])
-        text, code = _HANDLERS[args.cmd](args, params, channel, detector)
+        text, code = args.handler(args, params, channel, detector)
         _write_output(text, args.out)
     except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,6 +54,17 @@ class KeyRates:
     rate_reverse: float | None  # defined for single-section links only
 
 
+def check_reconciliation(n: int, reconciliation: str) -> None:
+    """Reject a reconciliation that ``KeyRates`` does not define for ``n``
+    sections: anything but forward and reverse, and reverse for n != 1."""
+    if reconciliation not in ("forward", "reverse"):
+        raise InvalidParameterError(
+            f"reconciliation must be 'forward' or 'reverse', got {reconciliation!r}")
+    if reconciliation == "reverse" and n != 1:
+        raise InvalidParameterError(
+            "reverse reconciliation is only defined for n_sections == 1")
+
+
 def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
     """Probability that a photon survives ``distance_km`` of fibre."""
     if alpha_db_per_km <= 0:

@@ -22,7 +22,12 @@ import numpy as np
 from .params import InvalidParameterError, RelayConfig, require_count
 
 DEFAULT_CHUNK_SIZE = 250_000
-MAX_TRIALS = 2 ** 62  # overflow guard; counts are accumulated as Python ints
+# a chunk holds several float64 arrays of its size; larger chunks buy no speed
+MAX_CHUNK_SIZE = 2 ** 24
+# keeps every chunk index inside the uint64 word of the Philox key
+MAX_TRIALS = 2 ** 62
+# |z| bound of the mc verdict: the two-sided normal tail of 6.3e-5
+Z_THRESHOLD = 4.0
 
 GENERATOR_METADATA = {
     "algorithm": "philox4x64 (numpy.random.Philox)",
@@ -48,6 +53,10 @@ class TrialConfig:
             raise InvalidParameterError(
                 f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         require_count("chunk_size", self.chunk_size, 1)
+        if self.chunk_size > MAX_CHUNK_SIZE:
+            raise InvalidParameterError(
+                f"chunk_size must be <= {MAX_CHUNK_SIZE}, "
+                f"got {self.chunk_size}")
 
 
 @dataclass(frozen=True)
@@ -202,3 +211,20 @@ def zscore(est: McEstimate, analytic_p_total: float,
     if se_v > 0.0:
         return z_p, delta_v / se_v
     return z_p, 0.0 if delta_v == 0.0 else None
+
+
+def verdict(est: McEstimate, analytic_p_total: float, analytic_v_ab: float,
+            ) -> tuple[dict, bool]:
+    """``(scores, passed)``: the ``mc`` report's z-scores and its verdict.
+
+    ``scores`` holds ``zscore``'s ``p_total`` and ``v_ab`` scores and
+    ``degenerate_sample``, the estimators whose own standard error is 0 or
+    undefined (their analytic-SE score may still apply).  ``passed`` is
+    true when every score that is not None has ``|z| <= Z_THRESHOLD``.
+    """
+    z_p, z_v = zscore(est, analytic_p_total, analytic_v_ab)
+    degenerate = [name for name, se in (("p_total", est.se_p_total),
+                                        ("v_ab", est.se_v_ab))
+                  if not se > 0.0]
+    passed = all(abs(z) <= Z_THRESHOLD for z in (z_p, z_v) if z is not None)
+    return {"p_total": z_p, "v_ab": z_v, "degenerate_sample": degenerate}, passed

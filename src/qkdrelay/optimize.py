@@ -7,7 +7,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .model import evaluate
+from .model import check_reconciliation, evaluate
 from .params import (ChannelParams, DetectorParams, InvalidParameterError,
                      RelayConfig, require_count)
 
@@ -94,21 +94,12 @@ def _largest_distance_where(positive) -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_reconciliation(n: int, reconciliation: str) -> None:
-    if reconciliation not in ("forward", "reverse"):
-        raise InvalidParameterError(
-            f"reconciliation must be 'forward' or 'reverse', got {reconciliation!r}")
-    if reconciliation == "reverse" and n != 1:
-        raise InvalidParameterError(
-            "reverse reconciliation is only defined for n_sections == 1")
-
-
 def max_distance_exact(n: int, channel: ChannelParams,
                        detector: DetectorParams,
                        reconciliation: str = "forward") -> float:
     """Largest distance in km with a strictly positive key rate, to 0.1 km;
     0 when there is no key at 0 km, inf past the bracket cap."""
-    _check_reconciliation(n, reconciliation)
+    check_reconciliation(n, reconciliation)
     return _largest_distance_where(
         lambda d: _rate(n, d, channel, detector, reconciliation) > 0.0)
 

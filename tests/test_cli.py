@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -141,6 +142,19 @@ def test_keyrate_reverse_needs_single_section(capsys):
                            "--reconciliation", "reverse")
     assert code == 2
     assert "reverse" in err
+
+
+def test_keyrate_reverse_message_is_the_models(capsys):
+    # the rule lives in model.check_reconciliation, which the cutoff scan
+    # applies too; it holds also when the distance grid is empty
+    from qkdrelay import InvalidParameterError, max_distance_exact
+    with pytest.raises(InvalidParameterError) as exc:
+        max_distance_exact(2, ChannelParams(), DetectorParams(), "reverse")
+    for grid in ([], ["--dmin", "50", "--dmax", "10"]):
+        code, out, err = run_cli(capsys, "keyrate", "--sections", "2",
+                                 "--reconciliation", "reverse", *grid)
+        assert code == 2 and out == ""
+        assert err == f"error: {exc.value}\n"
 
 
 def test_keyrate_reverse_accepts_repeated_single_section(capsys):
@@ -371,6 +385,20 @@ def test_mc_validation_failure_exits_one(monkeypatch, capsys):
     assert doc["pass"] is False
 
 
+def test_mc_oversized_chunk_exits_two_before_simulating(monkeypatch, capsys):
+    from qkdrelay import cli as cli_mod
+
+    def no_simulate(trial, workers=1):
+        raise AssertionError("a chunk this large must not reach simulate")
+
+    monkeypatch.setattr(cli_mod.montecarlo, "simulate", no_simulate)
+    code, out, err = run_cli(capsys, "mc", "--trials", "10000000000",
+                             "--chunk-size", "10000000000")
+    assert code == 2 and out == ""
+    assert err == (f"error: chunk_size must be <= "
+                   f"{cli_mod.montecarlo.MAX_CHUNK_SIZE}, got 10000000000\n")
+
+
 # -------------------------------------------------------------- source penalty
 
 def test_source_penalty_csv(capsys):
@@ -417,6 +445,16 @@ def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
     assert "gamma" in err
 
 
+def test_non_utf8_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bin.cfg"
+    cfg.write_bytes(b"\xff\xfe\x00a")
+    code, out, err = run_cli(capsys, "source-penalty", "--sources", "1",
+                             "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and str(cfg) in err
+
+
 def test_missing_config_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "visibility", "--config", "/nonexistent")
     assert code == 2
@@ -442,6 +480,23 @@ def test_csv_output_byte_identical_across_runs(tmp_path, capsys):
     assert main(args + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_every_help_text_renders(monkeypatch):
+    # argparse %-formats help text only when it renders it, so a stray %
+    # would surface here and not at parse time
+    from qkdrelay import DETECTOR_LINES, cli, montecarlo
+    monkeypatch.setattr(montecarlo, "Z_THRESHOLD", 2.5)
+    parser = cli.build_parser()
+    top = " ".join(parser.format_help().split())
+    assert "exits 1 when |z| > 2.5)" in top
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, subparser in sub.choices.items():
+        assert subparser.format_help().startswith(f"usage: qkdrelay {name}")
+    line = next(a for a in sub.choices["detector-sweep"]._actions
+                if a.dest == "line")
+    assert list(line.choices) == [*DETECTOR_LINES, "custom"]
 
 
 def test_bad_flag_exits_two(capsys):

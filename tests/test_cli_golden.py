@@ -9,9 +9,11 @@ Monte Carlo stopping a chunk once every pulse is rejected.  A changed byte is
 a regression to fix, not a digest to update.
 """
 import hashlib
+import json
 
 import pytest
 
+from qkdrelay import montecarlo
 from qkdrelay.cli import main
 
 CASES = {
@@ -119,3 +121,13 @@ def test_output_matches_frozen_digest(case, fmt, tmp_path):
     code = main(CASES[case] + ["--format", fmt, "--out", str(out)])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[case, fmt]
+
+
+def test_mc_verdict_follows_the_montecarlo_threshold(monkeypatch, tmp_path):
+    # the verdict and the report's threshold both come from montecarlo
+    monkeypatch.setattr(montecarlo, "Z_THRESHOLD", 0.0)
+    out = tmp_path / "mc.json"
+    assert main(CASES["mc"] + ["--format", "json", "--out", str(out)]) == 1
+    text = out.read_text(encoding="utf-8")
+    assert '\n  "threshold": 0.0,\n' in text
+    assert json.loads(text)["pass"] is False

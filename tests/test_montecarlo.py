@@ -8,7 +8,8 @@ from qkdrelay import (ChannelParams, DetectorParams, InvalidParameterError,
                       McEstimate, RelayConfig, TrialConfig, link_metrics,
                       simulate, zscore)
 from qkdrelay import montecarlo
-from qkdrelay.montecarlo import GENERATOR_METADATA, MAX_TRIALS
+from qkdrelay.montecarlo import (GENERATOR_METADATA, MAX_CHUNK_SIZE,
+                                 MAX_TRIALS, Z_THRESHOLD, verdict)
 
 
 def make_config(n, d, eta=0.3, dark=1e-4, v_opt=0.99, alpha=0.25):
@@ -186,6 +187,35 @@ def test_zscore_grid_against_analytic():
         assert abs(z_v) <= 4.0
 
 
+def test_verdict_passes_at_the_threshold_and_skips_undefined_scores():
+    # p = 1/2 over 64 trials has a standard error of exactly 1/16, so an
+    # estimate 16 trials off the expected 32 scores exactly 4.0; v = 1 with
+    # a differing estimate leaves z_v undefined
+    def sample(accepted):
+        return McEstimate(trials=64, accepted=accepted, correct=accepted - 1,
+                          p_total_hat=accepted / 64, v_ab_hat=0.9,
+                          se_p_total=0.05, se_v_ab=0.1)
+
+    assert Z_THRESHOLD == 4.0
+    for accepted, z_p in ((48, 4.0), (16, -4.0)):
+        scores, passed = verdict(sample(accepted), 0.5, 1.0)
+        assert scores == {"p_total": z_p, "v_ab": None,
+                          "degenerate_sample": []}
+        assert list(scores) == ["p_total", "v_ab", "degenerate_sample"]
+        assert passed is True
+    _, passed = verdict(sample(49), 0.5, 1.0)   # z_p = 4.25
+    assert passed is False
+
+
+def test_verdict_without_scores_passes_and_flags_both_estimators():
+    est = McEstimate(trials=1000, accepted=0, correct=0,
+                     p_total_hat=0.0, v_ab_hat=math.nan,
+                     se_p_total=0.0, se_v_ab=math.nan)
+    assert verdict(est, 0.0, 0.0) == (
+        {"p_total": None, "v_ab": None,
+         "degenerate_sample": ["p_total", "v_ab"]}, True)
+
+
 # ---------------------------------------------------------------- validation
 
 @pytest.mark.parametrize("kwargs", [
@@ -197,6 +227,7 @@ def test_zscore_grid_against_analytic():
     dict(trials=100, seed=1, chunk_size=0),
     dict(trials=10 ** 400, seed=1),
     dict(trials=100, seed=1, chunk_size=10 ** 400),
+    dict(trials=100, seed=1, chunk_size=MAX_CHUNK_SIZE + 1),
 ])
 def test_trial_config_validation(kwargs):
     with pytest.raises(InvalidParameterError):

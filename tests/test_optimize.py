@@ -165,6 +165,32 @@ def test_approx_tracks_exact_in_its_validity_region():
         assert abs(approx - exact) / exact <= 0.15
 
 
+# ------------------------------------------------ the abstract's negative claim
+
+def test_relays_beat_one_section_only_near_its_cutoff():
+    # The abstract: a relay cannot "improve the rate of key exchange over
+    # distances where the standard single section scheme already works".
+    # Over the window where the better one-section rate (forward or reverse)
+    # is positive, record where each n first has a larger forward rate.  The
+    # claim holds only below 138.7 km; n >= 8 never wins.  Settling Eve's
+    # Bell dilution (ROADMAP item 3) will move the n >= 3 entries.
+    grid = [i / 10 for i in range(1944)]                # 0 .. 194.3 km
+    single = [max(kr.rate_forward, kr.rate_reverse)
+              for kr in (evaluate(RelayConfig(1, d, CHANNEL, DETECTOR))[2]
+                         for d in grid)]
+    assert min(single) > 0.0
+    assert evaluate(RelayConfig(1, 194.4, CHANNEL, DETECTOR))[2] \
+        .rate_reverse == 0.0
+    first_win = {}
+    for n in range(2, 31):
+        for d, rate_1 in zip(grid, single):
+            if forward_rate(n, d) > rate_1:
+                first_win[n] = d
+                break
+    assert first_win == {2: 138.7, 3: 175.5, 4: 185.8, 5: 192.9, 6: 193.9,
+                         7: 194.3}
+
+
 # ---------------------------------------------------------- threshold distance
 
 def test_threshold_distance_tiny_threshold_equals_cutoff():
