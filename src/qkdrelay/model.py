@@ -20,7 +20,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .params import InvalidParameterError, RelayConfig
+from .params import (ChannelParams, DetectorParams, InvalidParameterError,
+                     RelayConfig)
+
+_MIN_NORMAL = sys.float_info.min  # below it a link is degenerate
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,37 @@ def _station_counts(n: int) -> tuple[int, int]:
     return n - 2 * n_bell, n_bell
 
 
+def _link(n: int, channel: ChannelParams, detector: DetectorParams,
+          distance_km: float) -> tuple[float, float, float, float, float]:
+    """The ``LinkMetrics`` fields of one cell, in field order: the per-cell
+    kernel's first half.  ``link_metrics`` wraps them in the record, and the
+    optimizer's rate probes (``_key_rates``) read them bare."""
+    eta = detector.eta
+    dk = detector.dark_prob
+    t = transmittance(channel.alpha_db_per_km, distance_km)
+    t_section = t ** (1.0 / n)
+    s = t_section * eta
+    p_click = (s + (1.0 - s) * 2.0 * dk) * (1.0 - dk)
+    n_term, n_bell = _station_counts(n)
+
+    p_signal = (0.5 ** ((n + 1) // 2)
+                * channel.v_opt ** n
+                * (s * (1.0 - dk)) ** n)
+    # Bell acceptance: two independent clicks, minus the indistinguishable
+    # merged outcomes, plus the merged ones rescued by a dark count.
+    bell_accept = (p_click * p_click
+                   - (1.0 - 2.0 * dk) * 0.5 * s * s * (1.0 - dk) ** 2)
+    p_total = 0.5 * p_click ** n_term * bell_accept ** n_bell
+
+    if p_total < _MIN_NORMAL:
+        return t_section, p_click, 0.0, 0.0, 0.0
+    # p_signal <= p_total holds exactly; guard the few-ulp rounding gap, after
+    # which the correctly rounded ratio cannot exceed 1.
+    if p_total < p_signal:
+        p_signal = p_total
+    return t_section, p_click, p_signal, p_total, p_signal / p_total
+
+
 def link_metrics(config: RelayConfig) -> LinkMetrics:
     """Evaluate signal, total and visibility for the sifted key channel.
 
@@ -101,31 +135,8 @@ def link_metrics(config: RelayConfig) -> LinkMetrics:
     never abort: a subnormal p_signal / p_total carries no significant digits.
     Every other link has ``p_total >= sys.float_info.min``.
     """
-    n = config.n_sections
-    eta = config.detector.eta
-    dk = config.detector.dark_prob
-    t = transmittance(config.channel.alpha_db_per_km, config.distance_km)
-    t_section = t ** (1.0 / n)
-    s = t_section * eta
-    p_click = (s + (1.0 - s) * 2.0 * dk) * (1.0 - dk)
-    n_term, n_bell = _station_counts(n)
-
-    p_signal = (0.5 ** ((n + 1) // 2)
-                * config.channel.v_opt ** n
-                * (s * (1.0 - dk)) ** n)
-    # Bell acceptance: two independent clicks, minus the indistinguishable
-    # merged outcomes, plus the merged ones rescued by a dark count.
-    bell_accept = (p_click * p_click
-                   - (1.0 - 2.0 * dk) * 0.5 * s * s * (1.0 - dk) ** 2)
-    p_total = 0.5 * p_click ** n_term * bell_accept ** n_bell
-
-    if p_total < sys.float_info.min:
-        return LinkMetrics(t_section, p_click, 0.0, 0.0, 0.0)
-    # p_signal <= p_total holds exactly; guard the few-ulp rounding gap, after
-    # which the correctly rounded ratio cannot exceed 1.
-    p_signal = min(p_signal, p_total)
-    return LinkMetrics(t_section, p_click, p_signal, p_total,
-                       p_signal / p_total)
+    return LinkMetrics(*_link(config.n_sections, config.channel,
+                              config.detector, config.distance_km))
 
 
 def eve_base_visibility(v_channel: float) -> float:
@@ -148,38 +159,40 @@ def eve_usable_visibility(config: RelayConfig) -> float:
     return evaluate(config)[1].v_ab_e
 
 
-def evaluate(config: RelayConfig) -> tuple[LinkMetrics, InfoMetrics, KeyRates]:
-    """Link, information and rate metrics of one configuration, from a single
-    ``link_metrics`` evaluation; see ``info_metrics`` and ``key_rates``."""
-    lm = link_metrics(config)
-    n = config.n_sections
-    if lm.p_total == 0.0:
-        im = InfoMetrics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+def _info(n: int, channel: ChannelParams, detector: DetectorParams,
+          t_section: float, p_click: float, p_total: float, v_ab: float,
+          ) -> tuple[tuple[float, ...], float, float | None]:
+    """(the ``InfoMetrics`` fields in field order, ``rate_forward``,
+    ``rate_reverse``) of one cell from its ``_link`` values: the per-cell
+    kernel's second half; see ``evaluate``."""
+    if p_total == 0.0:
+        i_ab = i_ae = i_be = v_ab_e = p_photonpass = v_ae_n = 0.0
     else:
-        eta = config.detector.eta
-        dk = config.detector.dark_prob
-        s = lm.t_section * eta
+        eta = detector.eta
+        dk = detector.dark_prob
+        s = t_section * eta
 
-        i_ab = 1.0 - binary_entropy(0.5 * (1.0 + lm.v_ab))
+        i_ab = 1.0 - binary_entropy(0.5 * (1.0 + v_ab))
 
-        v_ab_e = config.channel.v_opt ** n
+        v_ab_e = channel.v_opt ** n
         _, n_bell = _station_counts(n)
         if n_bell > 0:
             # p_click**2 > (1 - 2D) s**2 / 2 on any link that is not
             # degenerate, so the ratio is defined.  It is not formed without
             # Bell stations: its square terms underflow long before p_total.
-            v_ab_e *= (0.5 * s * s / (lm.p_click * lm.p_click
+            v_ab_e *= (0.5 * s * s / (p_click * p_click
                                       - (1.0 - 2.0 * dk) * 0.5 * s * s)
                        ) ** n_bell
             # The ratio overshoots 1 by O(dark_prob) at short distance with a
             # near-perfect channel; clamp to keep the visibility physical.
-            v_ab_e = min(v_ab_e, 1.0)
+            if v_ab_e > 1.0:
+                v_ab_e = 1.0
         eve_vis = eve_base_visibility(v_ab_e)
 
         # Eve learns nothing from the sifted bits that exist only thanks to a
         # dark count inside a terminal laboratory.
         click_given_photon = eta + (1.0 - eta) * 2.0 * dk
-        p_photonpass = (lm.t_section * click_given_photon
+        p_photonpass = (t_section * click_given_photon
                         / (s + (1.0 - s) * 2.0 * dk))
         v_ae_n = eta * eve_vis / click_given_photon
         i_be = p_photonpass * (1.0 - binary_entropy(0.5 * (1.0 + v_ae_n)))
@@ -188,12 +201,32 @@ def evaluate(config: RelayConfig) -> tuple[LinkMetrics, InfoMetrics, KeyRates]:
             i_ae = i_be
         else:
             i_ae = 1.0 - binary_entropy(0.5 + 0.5 * eve_vis)
-        im = InfoMetrics(i_ab, i_ae, i_be, v_ab_e, p_photonpass, v_ae_n)
 
-    rate_forward = max(0.0, lm.p_total * (im.i_ab - im.i_ae))
-    rate_reverse = (max(0.0, lm.p_total * (im.i_ab - im.i_be)) if n == 1
+    rate_forward = max(0.0, p_total * (i_ab - i_ae))
+    rate_reverse = (max(0.0, p_total * (i_ab - i_be)) if n == 1
                     else None)
-    return lm, im, KeyRates(rate_forward, rate_reverse)
+    return ((i_ab, i_ae, i_be, v_ab_e, p_photonpass, v_ae_n),
+            rate_forward, rate_reverse)
+
+
+def _key_rates(n: int, channel: ChannelParams, detector: DetectorParams,
+               distance_km: float) -> tuple[float, float | None]:
+    """``(rate_forward, rate_reverse)`` of one cell from the per-cell kernel,
+    with no config or record built: the optimizer's rate probe.  The caller
+    has checked ``n`` and ``distance_km`` as ``RelayConfig`` would."""
+    t_section, p_click, _, p_total, v_ab = _link(n, channel, detector,
+                                                 distance_km)
+    return _info(n, channel, detector, t_section, p_click, p_total, v_ab)[1:]
+
+
+def evaluate(config: RelayConfig) -> tuple[LinkMetrics, InfoMetrics, KeyRates]:
+    """Link, information and rate metrics of one configuration, from a single
+    ``link_metrics`` evaluation; see ``info_metrics`` and ``key_rates``."""
+    lm = link_metrics(config)
+    info, rate_forward, rate_reverse = _info(
+        config.n_sections, config.channel, config.detector,
+        lm.t_section, lm.p_click, lm.p_total, lm.v_ab)
+    return lm, InfoMetrics(*info), KeyRates(rate_forward, rate_reverse)
 
 
 def info_metrics(config: RelayConfig) -> InfoMetrics:

@@ -7,7 +7,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .model import check_reconciliation, evaluate
+from .model import _key_rates, check_reconciliation
 from .params import (ChannelParams, DetectorParams, InvalidParameterError,
                      RelayConfig, require_count)
 
@@ -65,10 +65,12 @@ class DetectorSweepResult:
 
 def _rate(n: int, distance_km: float, channel: ChannelParams,
           detector: DetectorParams, reconciliation: str = "forward") -> float:
-    """The model's key rate for ``reconciliation`` at one operating point."""
-    rates = evaluate(RelayConfig(n, distance_km, channel, detector))[2]
-    return (rates.rate_reverse if reconciliation == "reverse"
-            else rates.rate_forward)
+    """The model's key rate for ``reconciliation`` at one operating point,
+    from its per-cell kernel.  A probe builds no config: each caller checks
+    ``n`` and ``distance_km`` once, as ``RelayConfig`` would, and the
+    bisection keeps d finite and >= 0."""
+    rate_forward, rate_reverse = _key_rates(n, channel, detector, distance_km)
+    return rate_reverse if reconciliation == "reverse" else rate_forward
 
 
 def _largest_distance_where(positive) -> float:
@@ -100,6 +102,7 @@ def max_distance_exact(n: int, channel: ChannelParams,
     """Largest distance in km with a strictly positive key rate, to 0.1 km;
     0 when there is no key at 0 km, inf past the bracket cap."""
     check_reconciliation(n, reconciliation)
+    require_count("n_sections", n, 1)
     return _largest_distance_where(
         lambda d: _rate(n, d, channel, detector, reconciliation) > 0.0)
 
@@ -150,6 +153,7 @@ def threshold_distance(n: int, channel: ChannelParams,
     if not rate_threshold_per_pulse > 0:
         raise InvalidParameterError(
             f"rate threshold must be > 0, got {rate_threshold_per_pulse}")
+    require_count("n_sections", n, 1)
     return _largest_distance_where(
         lambda d: _rate(n, d, channel, detector) >= rate_threshold_per_pulse)
 
@@ -178,13 +182,15 @@ def detector_sweep(distance_km: float, sections: list[int],
     """
     if not sections or not eta_grid:
         raise InvalidParameterError("sections and eta_grid must be non-empty")
-    darks = [detector_dark(eta, line) for eta in eta_grid]
+    detectors = [DetectorParams(eta, detector_dark(eta, line))
+                 for eta in eta_grid]
     points: list[SweepPoint] = []
     best_by_n: dict[int, SweepPoint] = {}
     for n in sections:
-        for eta, dark in zip(eta_grid, darks):
-            rate = _rate(n, distance_km, channel, DetectorParams(eta, dark))
-            point = SweepPoint(n, eta, dark, rate)
+        RelayConfig(n, distance_km, channel)  # checks n and d, once per n
+        for detector in detectors:
+            rate = _rate(n, distance_km, channel, detector)
+            point = SweepPoint(n, detector.eta, detector.dark_prob, rate)
             points.append(point)
             if n not in best_by_n or point.rate > best_by_n[n].rate:
                 best_by_n[n] = point

@@ -146,6 +146,17 @@ def test_probabilities_normalized_on_random_grid():
         assert 0.0 <= lm.v_ab <= 1.0
 
 
+def test_perfect_optics_keep_v_ab_physical():
+    # at v_opt = 1, and most of all without dark counts, p_signal rounds
+    # above p_total by a few ulps on about a third of these; the model's
+    # clamp keeps v_ab <= 1 and binary_entropy's argument in range
+    rng = np.random.default_rng(1423)
+    for _ in range(20000):
+        cfg = ref.random_config(rng, n_hi=40, dark_zero=rng.random() < 0.8)
+        cfg = replace(cfg, channel=replace(cfg.channel, v_opt=1.0))
+        assert evaluate(cfg)[0].v_ab <= 1.0, cfg
+
+
 def test_visibility_non_increasing_in_distance():
     rng = np.random.default_rng(905)
     for _ in range(50):

@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +50,13 @@ def test_optimize_restates_no_rate():
 
 
 def test_exact_cutoff_names_n_sections_for_a_bad_count():
-    with pytest.raises(InvalidParameterError,
-                       match=r"^n_sections must be an integer >= 1, got 0$"):
-        max_distance_exact(0, CHANNEL, DETECTOR)
+    bad_count = r"^n_sections must be an integer >= 1, got 0$"
+    for call in (lambda: max_distance_exact(0, CHANNEL, DETECTOR),
+                 lambda: threshold_distance(0, CHANNEL, DETECTOR),
+                 lambda: detector_sweep(400.0, [0], GOOD_LINE, [0.1],
+                                        CHANNEL)):
+        with pytest.raises(InvalidParameterError, match=bad_count):
+            call()
 
 
 def test_reverse_beats_forward():
@@ -339,6 +345,59 @@ def test_source_penalty_validation(m, p, alpha):
         source_penalty(m, p, alpha)
 
 
+# ------------------------------------------------------------- frozen outputs
+
+OPTIMIZER_DIGEST = ("77de822c0f261ebc2a3088077714e29e"
+                    "5a190e32b527fa462f50a4836a833510")
+
+
+def test_optimizer_outputs_are_frozen():
+    # sha256 of repr of cutoff scans, cutoffs, thresholds and sweeps, frozen
+    # before the probes moved onto the model's per-cell kernel; it changes
+    # only with the independent evidence ROADMAP's frozen-values rule asks for
+    rng = random.Random(1604)
+    results = []
+    for i in range(60):
+        alpha = rng.uniform(0.16, 0.35)
+        v_opt = 1.0 if i % 5 == 0 else rng.uniform(0.95, 1.0)
+        eta = rng.uniform(0.05, 0.9)
+        dark = 0.0 if i % 6 == 0 else 10.0 ** rng.uniform(-7.0, -2.5)
+        results.append(optimal_sections(ChannelParams(alpha, v_opt),
+                                        DetectorParams(eta, dark), 30))
+    results += [max_distance_exact(1, CHANNEL, DETECTOR, rec)
+                for rec in ("forward", "reverse")]
+    results += [threshold_distance(n, CHANNEL, DETECTOR)
+                for n in range(1, 7)]
+    results.append(detector_sweep(400.0, [1, 2, 3, 4, 5, 6], GOOD_LINE,
+                                  [i / 100 for i in range(2, 31)], CHANNEL))
+    results.append(detector_sweep(150.0, [1, 2, 3], BEST_LINE,
+                                  [0.05, 0.1, 0.2, 0.4],
+                                  ChannelParams(0.2, 1.0)))
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == OPTIMIZER_DIGEST
+
+
+@pytest.mark.parametrize("call, most", [
+    (lambda: max_distance_exact(18, CHANNEL, DETECTOR), 1),
+    (lambda: max_distance_exact(1, CHANNEL, DETECTOR, "reverse"), 1),
+    (lambda: threshold_distance(4, CHANNEL, DETECTOR), 1),
+    (lambda: detector_sweep(400.0, [1, 2, 3, 4], GOOD_LINE,
+                            [0.1, 0.2, 0.3], CHANNEL), 4),
+], ids=["forward", "reverse", "threshold", "sweep"])
+def test_probes_build_no_config_each(monkeypatch, call, most):
+    # a cutoff takes about 20 rate probes, and none may build a config
+    built = []
+    real = RelayConfig.__post_init__
+
+    def counted(config):
+        built.append(config)
+        real(config)
+
+    monkeypatch.setattr(RelayConfig, "__post_init__", counted)
+    call()
+    assert len(built) <= most
+
+
 # ------------------------------------------------------------------ validation
 
 def test_max_distance_validation():
@@ -357,3 +416,7 @@ def test_max_distance_validation():
             max_distance_approx(huge, CHANNEL, DETECTOR)
         with pytest.raises(InvalidParameterError):
             optimal_sections(CHANNEL, DETECTOR, huge)
+    for bad in (math.nan, -1.0, math.inf):
+        with pytest.raises(InvalidParameterError, match=r"^distance_km must "
+                           r"be finite and >= 0, got "):
+            detector_sweep(bad, [4], GOOD_LINE, [0.1], CHANNEL)
