@@ -11,10 +11,11 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice, repeat
 from pathlib import Path
 
-from . import montecarlo, optimize
-from .model import check_reconciliation, evaluate, link_metrics
+from . import model, montecarlo, optimize
+from .model import check_reconciliation, link_metrics
 from .optimize import DETECTOR_LINES, DetectorLine
 from .params import (DEFAULT_ALPHA_DB_PER_KM, DEFAULT_DARK_PROB, DEFAULT_ETA,
                      DEFAULT_V_OPT, ChannelParams, DetectorParams,
@@ -22,6 +23,12 @@ from .params import (DEFAULT_ALPHA_DB_PER_KM, DEFAULT_DARK_PROB, DEFAULT_ETA,
 
 # Points per distance or efficiency axis; checked before a grid is built.
 MAX_GRID_POINTS = 1_000_000
+# Table rows encoded per block: bounds the cells held while a grid streams.
+_BLOCK_ROWS = 1024
+# Exponents of ``_fmt`` text that ``_json_float`` passes to ``repr``, which
+# writes 1e10..1e15 positionally and may round the range's ends differently.
+_REPR_EXPONENTS = frozenset(f"e{e:+d}" for e in (*range(-324, -307),
+                                                  *range(10, 16), 308))
 
 _DEFAULTS = {
     "alpha": DEFAULT_ALPHA_DB_PER_KM,
@@ -42,13 +49,27 @@ def _csv_field(x) -> str:
     return str(x) if isinstance(x, int) else _fmt(x)
 
 
+def _json_float(x: float) -> str:
+    """``repr`` of ``x`` rounded to 10 significant digits, or null if that is
+    not finite.  Between exponents -307 and 307 no shorter decimal maps to the
+    rounded double, so ``repr`` writes ``_fmt``'s digits; only notation differs."""
+    s = format(x, ".10g")
+    if "e" in s:
+        if s[s.index("e"):] not in _REPR_EXPONENTS:
+            return s
+    elif "." in s:
+        return s
+    elif s[-1].isdigit():
+        return s + ".0"
+    x = float(s)
+    return repr(x) if math.isfinite(x) else "null"
+
+
 def _json(obj, pad: str = "") -> str:
     """``obj`` as ``json.dumps`` with ``indent=2`` writes it, nested at
-    ``pad``, with floats rounded to 10 significant digits and then null if
-    not finite (1.7976931348623157e308 rounds to inf)."""
+    ``pad``, with floats written by ``_json_float``."""
     if isinstance(obj, float):
-        obj = float(_fmt(obj))
-        return repr(obj) if math.isfinite(obj) else "null"
+        return _json_float(obj)
     if isinstance(obj, int) and not isinstance(obj, bool):
         return str(obj)
     if not isinstance(obj, (dict, list, tuple)):
@@ -64,27 +85,43 @@ def _json(obj, pad: str = "") -> str:
             + "\n" + pad + "]")
 
 
-def _json_rows(header: list[str], rows: list) -> str:
+def _encode_column(fmt: str, column: tuple):
+    """The cells of one column as ``fmt`` writes them: all-float and all-int
+    columns in one pass each, any other value by ``_csv_field`` or ``_json``."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return (map(format, column, repeat(".10g")) if fmt == "csv"
+                else map(_json_float, column))
+    return map(str if kinds == {int} else
+               _csv_field if fmt == "csv" else _json, column)
+
+
+def _encoded_rows(fmt: str, rows):
+    """The cell texts of each row, encoded a column at a time in blocks of
+    ``_BLOCK_ROWS`` rows, so that a streamed grid is never held whole."""
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        yield from zip(*[_encode_column(fmt, col) for col in zip(*block)])
+
+
+def _json_rows(header: list[str], rows) -> str:
     """Row objects as ``_json`` nests them one level deep, with each key
     encoded once per table instead of once per row."""
-    if not rows:
-        return "[]"
     keys = ["      " + json.dumps(k) + ": " for k in header]
-    objects = ("    {\n" + ",\n".join([k + _json(v)
-                                        for k, v in zip(keys, row)])
-               + "\n    }" for row in rows)
-    return "[\n" + ",\n".join(objects) + "\n  ]"
+    objects = ["    {\n" + ",\n".join(map(str.__add__, keys, cells))
+               + "\n    }" for cells in _encoded_rows("json", rows)]
+    return "[\n" + ",\n".join(objects) + "\n  ]" if objects else "[]"
 
 
-def _table(fmt: str, params: dict, header: list[str], rows: list,
+def _table(fmt: str, params: dict, header: list[str], rows,
            comments: list[str] | None = None,
            fields: dict | None = None) -> str:
     """The one writer of every subcommand's output.
 
     CSV: a parameter comment, ``comments``, the header and one line per row.
     JSON: ``_json({"params": params, **fields})``, where ``fields`` defaults
-    to ``{"rows": rows}`` and the ``rows`` list stands for one object per row
-    keyed by ``header``.
+    to ``{"rows": rows}`` and the ``rows`` iterable stands for one object per
+    row keyed by ``header``.  ``rows`` is read once, so it may be a generator.
     """
     if fmt == "json":
         fields = {"params": params,
@@ -95,8 +132,8 @@ def _table(fmt: str, params: dict, header: list[str], rows: list,
                _json(value, "  "))
             for key, value in fields.items()) + "\n}\n"
     lines = ["# " + " ".join(k + "=" + _fmt(v) for k, v in params.items()),
-             *(comments or []), ",".join(header)]
-    lines.extend(",".join(map(_csv_field, row)) for row in rows)
+             *(comments or []), ",".join(header),
+             *map(",".join, _encoded_rows("csv", rows))]
     return "\n".join(lines) + "\n"
 
 
@@ -187,11 +224,20 @@ def _resolve_params(args: argparse.Namespace) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _check_sections(sections, grid, channel, detector) -> None:
+    """Check each section count as ``RelayConfig`` would, once, if any cell
+    uses it; ``inclusive_grid`` has checked the distances."""
+    for n in sections if grid else ():
+        RelayConfig(n, grid[0], channel, detector)
+
+
 def _cmd_visibility(args, params, channel, detector):
     sections = parse_sections(args.sections)
     grid = inclusive_grid(args.dmin, args.dmax, args.dstep)
-    rows = [(n, d, link_metrics(RelayConfig(n, d, channel, detector)).v_ab)
-            for n in sections for d in grid]
+    _check_sections(sections, grid, channel, detector)
+    link = model._link
+    rows = ((n, d, link(n, channel, detector, d)[4])
+            for n in sections for d in grid)
     return _table(args.format, params, ["n", "distance_km", "v_ab"], rows), 0
 
 
@@ -201,12 +247,20 @@ def _cmd_keyrate(args, params, channel, detector):
         check_reconciliation(n, args.reconciliation)
     reverse = args.reconciliation == "reverse"
     grid = inclusive_grid(args.dmin, args.dmax, args.dstep)
-    rows = []
-    for n in sections:
-        for d in grid:
-            lm, im, kr = evaluate(RelayConfig(n, d, channel, detector))
-            rate = kr.rate_reverse if reverse else kr.rate_forward
-            rows.append((n, d, rate, im.i_ab, im.i_ae, im.i_be, lm.p_total))
+    _check_sections(sections, grid, channel, detector)
+    link, info = model._link, model._info
+
+    def cells():
+        for n in sections:
+            for d in grid:
+                t_section, p_click, _, p_total, v_ab = link(n, channel,
+                                                            detector, d)
+                (i_ab, i_ae, i_be, *_), rate_forward, rate_reverse = info(
+                    n, channel, detector, t_section, p_click, p_total, v_ab)
+                yield (n, d, rate_reverse if reverse else rate_forward, i_ab,
+                       i_ae, i_be, p_total)
+
+    rows = cells()
     header = ["n", "distance_km", "rate_bits_per_pulse", "i_ab", "i_ae",
               "i_be", "p_total"]
     return _table(args.format, params, header, rows,

@@ -121,20 +121,52 @@ def test_keyrate_columns_and_reverse_dominance(capsys):
         assert float(row_r[2]) >= float(row_f[2])
 
 
-def test_keyrate_evaluates_each_link_once_per_cell(monkeypatch, capsys):
+def count_kernel_calls(monkeypatch):
     from qkdrelay import model
-    calls = []
-    real = model.link_metrics
+    calls = {"_link": 0, "_info": 0}
 
-    def counted(config):
-        calls.append(config)
-        return real(config)
+    def counted(name):
+        real = getattr(model, name)
 
-    monkeypatch.setattr(model, "link_metrics", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(model, name, counted(name))
+    return calls
+
+
+def test_keyrate_evaluates_each_link_once_per_cell(monkeypatch, capsys):
+    calls = count_kernel_calls(monkeypatch)
     code, _, _ = run_cli(capsys, "keyrate", "--sections", "1..3",
                          "--dmax", "10")
     assert code == 0
-    assert len(calls) == 3 * 11
+    assert calls["_link"] == 3 * 11
+
+
+def test_visibility_evaluates_each_link_once_per_cell(monkeypatch, capsys):
+    calls = count_kernel_calls(monkeypatch)
+    code, _, _ = run_cli(capsys, "visibility", "--sections", "1..3",
+                         "--dmax", "10")
+    assert code == 0
+    assert calls == {"_link": 3 * 11, "_info": 0}
+
+
+@pytest.mark.parametrize("cmd", ["visibility", "keyrate"])
+def test_grid_checks_section_counts_only_for_a_nonempty_grid(cmd, capsys):
+    huge = "1" + "0" * 400  # an integer too large for a float
+    code, out, err = run_cli(capsys, cmd, "--sections", f"1,{huge}",
+                             "--dmax", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("error: n_sections must be <= ")
+    assert "(the largest float)" in err
+    code, out, err = run_cli(capsys, cmd, "--sections", f"1,{huge}",
+                             "--dmin", "10", "--dmax", "0")
+    assert code == 0 and err == ""
+    header, rows = csv_rows(out)
+    assert header[:2] == ["n", "distance_km"] and rows == []
 
 
 def test_keyrate_reverse_needs_single_section(capsys):

@@ -5,8 +5,9 @@ model evaluation and the single table writer; the dead-link and zero-error
 ``mc`` reports and the duplicate-section and 16..20 ``maxdist`` tables from
 the release that preceded moving the z-score and section-count rules out of
 the CLI; the 2001-section ``mc`` report from the release that preceded the
-Monte Carlo stopping a chunk once every pulse is rejected.  A changed byte is
-a regression to fix, not a digest to update.
+Monte Carlo stopping a chunk once every pulse is rejected; the two
+encoder-edge grids from the release that preceded the column-wise table
+encoder.  A changed byte is a regression to fix, not a digest to update.
 """
 import hashlib
 import json
@@ -51,6 +52,15 @@ CASES = {
                             "exact"],
     "mc-many-sections": ["mc", "--sections", "2001", "--distance", "50",
                          "--trials", "10"],
+    # 259 of the 630 cells are degenerate (p_total == 0), 11 have floats
+    # below 1e-300, and every distance is an integral float
+    "keyrate-encoder-edges": ["keyrate", "--dark", "0", "--vopt", "1",
+                              "--sections", "1..30", "--dmax", "20000",
+                              "--dstep", "1000"],
+    # distances at decimal exponents 10, 15 and 16: JSON writes the first two
+    # positionally and CSV none
+    "visibility-huge-distances": ["visibility", "--dmin", "1e10",
+                                  "--dmax", "2e16", "--dstep", "1e15"],
 }
 
 DIGESTS = {
@@ -112,6 +122,14 @@ DIGESTS = {
         "ac191147616e26638aa3bacf837e23d6e439793f0cd8dc2b44432e1d47d4fe79",
     ('mc-many-sections', 'json'):
         "c6680f9624735f70b58814b056fd6f08cf205b0c2e1bd4bad764d07eab7905bb",
+    ('keyrate-encoder-edges', 'csv'):
+        "8e9c7b0886975237db05e97f3fa1e64d632dab7059515088a12853e4b6434cd8",
+    ('keyrate-encoder-edges', 'json'):
+        "ff8f0d19cbdd8fd089d64254db9d2fc98c047176e0cd44cabc56e24e5be8c3b7",
+    ('visibility-huge-distances', 'csv'):
+        "1d01a86fa4813cba1ec08d9feeeb6604b8b9411439494ac8d54333b72a8b273a",
+    ('visibility-huge-distances', 'json'):
+        "5a7faf05b7d5f8c77c99aafca759fdadda3c8439f821c853f4c4bf1b403db4d3",
 }
 
 

@@ -2,8 +2,9 @@
 import json
 import math
 import random
+import struct
 
-from qkdrelay.cli import _fmt, _json, _json_rows
+from qkdrelay.cli import _csv_field, _encode_column, _fmt, _json, _json_rows
 
 EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
                2.2250738585072014e-308, 1e-310, 1e16, -1e16,
@@ -75,3 +76,40 @@ def test_json_rows_matches_json_dumps_of_row_objects():
         want = json.dumps(reference([dict(zip(header, row)) for row in rows]),
                           indent=2).replace("\n", "\n  ")
         assert _json_rows(header, rows) == want, rows
+
+
+def reference_floats(fields):
+    """The text ``json.dumps`` writes for each float of ``reference``, from
+    the float's CSV field (its ``_fmt`` text)."""
+    texts = map(repr, map(float, fields))
+    return [t if t not in ("inf", "-inf", "nan") else "null" for t in texts]
+
+
+def random_floats(rng, count):
+    """``count`` floats of every magnitude: raw bit patterns (inf and nan
+    included), log-uniform values, integral floats from 1e9 to 1e17,
+    subnormals and values whose rounding carries into the next decade."""
+    tenth = count // 10
+    floats = list(struct.unpack(f"<{3 * tenth}d",
+                                rng.randbytes(24 * tenth)))
+    uniform, randrange = rng.uniform, rng.randrange
+    floats += [10.0 ** uniform(-325.0, 308.25) for _ in range(2 * tenth)]
+    floats += [float(randrange(10**9, 10**17)) for _ in range(2 * tenth)]
+    floats += [1000.0 * 10 ** randrange(6, 15) for _ in range(tenth)]
+    floats += [math.ldexp(rng.random(), randrange(-1074, -1016))
+               for _ in range(tenth)]
+    carries = [f"{m}e{e}" for m in ("9.9999999995", "9.99999999999", "-2.5")
+               for e in range(-330, 310)]
+    floats += map(float, rng.choices(carries, k=count - len(floats)
+                                     - len(EDGE_FLOATS)))
+    return floats + EDGE_FLOATS
+
+
+def test_column_encoder_matches_the_per_value_rules():
+    floats = random_floats(random.Random(20261020), 1_000_000)
+    assert len(floats) == 1_000_000
+    fields = list(map(_csv_field, floats))
+    assert list(_encode_column("csv", tuple(floats))) == fields
+    want = reference_floats(fields)
+    assert list(_encode_column("json", tuple(floats))) == want
+    assert [_json(x) for x in floats[::100]] == want[::100]
