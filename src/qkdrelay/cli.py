@@ -224,20 +224,13 @@ def _resolve_params(args: argparse.Namespace) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _check_sections(sections, grid, channel, detector) -> None:
-    """Check each section count as ``RelayConfig`` would, once, if any cell
-    uses it; ``inclusive_grid`` has checked the distances."""
-    for n in sections if grid else ():
-        RelayConfig(n, grid[0], channel, detector)
-
-
 def _cmd_visibility(args, params, channel, detector):
     sections = parse_sections(args.sections)
     grid = inclusive_grid(args.dmin, args.dmax, args.dstep)
-    _check_sections(sections, grid, channel, detector)
-    link = model._link
-    rows = ((n, d, link(n, channel, detector, d)[4])
-            for n in sections for d in grid)
+    # every n is checked before the first row, and only if a row uses it
+    links = ([(n, model.kernel(n, channel, detector)[0]) for n in sections]
+             if grid else [])
+    rows = ((n, d, link(d)[4]) for n, link in links for d in grid)
     return _table(args.format, params, ["n", "distance_km", "v_ab"], rows), 0
 
 
@@ -245,22 +238,19 @@ def _cmd_keyrate(args, params, channel, detector):
     sections = parse_sections(args.sections)
     for n in sections:
         check_reconciliation(n, args.reconciliation)
-    reverse = args.reconciliation == "reverse"
+    rate_index = 1 if args.reconciliation == "reverse" else 0
     grid = inclusive_grid(args.dmin, args.dmax, args.dstep)
-    _check_sections(sections, grid, channel, detector)
-    link, info = model._link, model._info
+    # every n is checked before the first row, and only if a row uses it
+    cells = ([(n, model.kernel(n, channel, detector)[1]) for n in sections]
+             if grid else [])
 
-    def cells():
-        for n in sections:
+    def cell_rows():
+        for n, cell in cells:
             for d in grid:
-                t_section, p_click, _, p_total, v_ab = link(n, channel,
-                                                            detector, d)
-                (i_ab, i_ae, i_be, *_), rate_forward, rate_reverse = info(
-                    n, channel, detector, t_section, p_click, p_total, v_ab)
-                yield (n, d, rate_reverse if reverse else rate_forward, i_ab,
-                       i_ae, i_be, p_total)
+                link, (i_ab, i_ae, i_be, *_), rates = cell(d)
+                yield n, d, rates[rate_index], i_ab, i_ae, i_be, link[3]
 
-    rows = cells()
+    rows = cell_rows()
     header = ["n", "distance_km", "rate_bits_per_pulse", "i_ab", "i_ae",
               "i_be", "p_total"]
     return _table(args.format, params, header, rows,

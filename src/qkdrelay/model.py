@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .params import (ChannelParams, DetectorParams, InvalidParameterError,
-                     RelayConfig)
+                     RelayConfig, require_count)
 
 _MIN_NORMAL = sys.float_info.min  # below it a link is degenerate
 
@@ -79,50 +79,101 @@ def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 
-def binary_entropy(p: float) -> float:
-    """Shannon entropy of a biased coin, in bits; H(0) = H(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"p must be in [0, 1], got {p}")
+def _entropy(p: float) -> float:
+    """``binary_entropy`` without its range check, for the kernel."""
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _station_counts(n: int) -> tuple[int, int]:
-    """(terminal stations, Bell stations) for an n-section link."""
+def binary_entropy(p: float) -> float:
+    """Shannon entropy of a biased coin, in bits; H(0) = H(1) = 0."""
+    if not 0.0 <= p <= 1.0:
+        raise InvalidParameterError(f"p must be in [0, 1], got {p}")
+    return _entropy(p)
+
+
+def kernel(n: int, channel: ChannelParams, detector: DetectorParams):
+    """``(link, cell)``: the per-cell kernel of ``n``-section links on
+    ``channel`` and ``detector``, as two functions of the distance in km.
+
+    ``link(d)`` gives the ``LinkMetrics`` fields in field order, and
+    ``cell(d)`` the ``evaluate`` fields as ``(link fields, InfoMetrics
+    fields, (rate_forward, rate_reverse))``; neither builds a record.  ``n``
+    is checked here, once, as ``RelayConfig`` checks it, and the per-n and
+    per-detector constants are hoisted; ``d`` is not checked, so the caller
+    keeps it finite and >= 0, as ``RelayConfig`` would.
+    """
+    require_count("n_sections", n, 1)
+    neg_alpha = -channel.alpha_db_per_km
+    eta, dk = detector.eta, detector.dark_prob
+    inv_n = 1.0 / n
     n_bell = (n - 1) // 2
-    return n - 2 * n_bell, n_bell
+    n_term = n - 2 * n_bell
+    v_opt_n = channel.v_opt ** n
+    signal_scale = 0.5 ** ((n + 1) // 2) * v_opt_n
+    one_minus_dk = 1.0 - dk
+    two_dk = 2.0 * dk
+    merge = (1.0 - two_dk) * 0.5
+    one_minus_dk_sq = one_minus_dk ** 2
+    click_given_photon = eta + (1.0 - eta) * two_dk
+    dead = ((0.0,) * 6, (0.0, 0.0 if n == 1 else None))
+    odd = n % 2 == 1
 
+    def cell(distance_km: float, full: bool = True):
+        t_section = (10.0 ** (neg_alpha * distance_km / 10.0)) ** inv_n
+        s = t_section * eta
+        click_or_dark = s + (1.0 - s) * two_dk
+        p_click = click_or_dark * one_minus_dk
+        p_click_sq = p_click * p_click
+        # merged Bell outcomes, s**2 (1 - 2D) / 2 per station
+        merged = merge * s * s
+        p_signal = signal_scale * (s * one_minus_dk) ** n
+        # Bell acceptance: two independent clicks, minus the indistinguishable
+        # merged outcomes, plus the merged ones rescued by a dark count.
+        p_total = (0.5 * p_click ** n_term
+                   * (p_click_sq - merged * one_minus_dk_sq) ** n_bell)
+        if p_total < _MIN_NORMAL:
+            link = (t_section, p_click, 0.0, 0.0, 0.0)
+            return (link, *dead) if full else link
+        # p_signal <= p_total holds exactly; guard the few-ulp rounding gap,
+        # after which the correctly rounded ratio cannot exceed 1.
+        if p_total < p_signal:
+            p_signal = p_total
+        v_ab = p_signal / p_total
+        link = (t_section, p_click, p_signal, p_total, v_ab)
+        if not full:
+            return link
 
-def _link(n: int, channel: ChannelParams, detector: DetectorParams,
-          distance_km: float) -> tuple[float, float, float, float, float]:
-    """The ``LinkMetrics`` fields of one cell, in field order: the per-cell
-    kernel's first half.  ``link_metrics`` wraps them in the record, and the
-    optimizer's rate probes (``_key_rates``) read them bare."""
-    eta = detector.eta
-    dk = detector.dark_prob
-    t = transmittance(channel.alpha_db_per_km, distance_km)
-    t_section = t ** (1.0 / n)
-    s = t_section * eta
-    p_click = (s + (1.0 - s) * 2.0 * dk) * (1.0 - dk)
-    n_term, n_bell = _station_counts(n)
+        i_ab = 1.0 - _entropy(0.5 * (1.0 + v_ab))
+        v_ab_e = v_opt_n
+        if n_bell > 0:
+            # p_click**2 > merged on any link that is not degenerate, so the
+            # ratio is defined.  It is not formed without Bell stations: its
+            # square terms underflow long before p_total.
+            v_ab_e *= (0.5 * s * s / (p_click_sq - merged)) ** n_bell
+            # The ratio overshoots 1 by O(dark_prob) at short distance with a
+            # near-perfect channel; clamp to keep the visibility physical.
+            if v_ab_e > 1.0:
+                v_ab_e = 1.0
+        eve_vis = math.sqrt(1.0 - v_ab_e * v_ab_e)  # eve_base_visibility
+        # Eve learns nothing from the sifted bits that exist only thanks to a
+        # dark count inside a terminal laboratory.
+        p_photonpass = t_section * click_given_photon / click_or_dark
+        v_ae_n = eta * eve_vis / click_given_photon
+        i_be = p_photonpass * (1.0 - _entropy(0.5 * (1.0 + v_ae_n)))
+        i_ae = 1.0 - _entropy(0.5 + 0.5 * eve_vis) if odd else i_be
+        # max(0.0, r), which is 0.0 also for r = -0.0 or nan
+        rate = p_total * (i_ab - i_ae)
+        rate_forward = rate if rate > 0.0 else 0.0
+        rate_reverse = None
+        if n == 1:
+            rate = p_total * (i_ab - i_be)
+            rate_reverse = rate if rate > 0.0 else 0.0
+        return (link, (i_ab, i_ae, i_be, v_ab_e, p_photonpass, v_ae_n),
+                (rate_forward, rate_reverse))
 
-    p_signal = (0.5 ** ((n + 1) // 2)
-                * channel.v_opt ** n
-                * (s * (1.0 - dk)) ** n)
-    # Bell acceptance: two independent clicks, minus the indistinguishable
-    # merged outcomes, plus the merged ones rescued by a dark count.
-    bell_accept = (p_click * p_click
-                   - (1.0 - 2.0 * dk) * 0.5 * s * s * (1.0 - dk) ** 2)
-    p_total = 0.5 * p_click ** n_term * bell_accept ** n_bell
-
-    if p_total < _MIN_NORMAL:
-        return t_section, p_click, 0.0, 0.0, 0.0
-    # p_signal <= p_total holds exactly; guard the few-ulp rounding gap, after
-    # which the correctly rounded ratio cannot exceed 1.
-    if p_total < p_signal:
-        p_signal = p_total
-    return t_section, p_click, p_signal, p_total, p_signal / p_total
+    return (lambda distance_km: cell(distance_km, False)), cell
 
 
 def link_metrics(config: RelayConfig) -> LinkMetrics:
@@ -135,8 +186,8 @@ def link_metrics(config: RelayConfig) -> LinkMetrics:
     never abort: a subnormal p_signal / p_total carries no significant digits.
     Every other link has ``p_total >= sys.float_info.min``.
     """
-    return LinkMetrics(*_link(config.n_sections, config.channel,
-                              config.detector, config.distance_km))
+    link = kernel(config.n_sections, config.channel, config.detector)[0]
+    return LinkMetrics(*link(config.distance_km))
 
 
 def eve_base_visibility(v_channel: float) -> float:
@@ -159,74 +210,13 @@ def eve_usable_visibility(config: RelayConfig) -> float:
     return evaluate(config)[1].v_ab_e
 
 
-def _info(n: int, channel: ChannelParams, detector: DetectorParams,
-          t_section: float, p_click: float, p_total: float, v_ab: float,
-          ) -> tuple[tuple[float, ...], float, float | None]:
-    """(the ``InfoMetrics`` fields in field order, ``rate_forward``,
-    ``rate_reverse``) of one cell from its ``_link`` values: the per-cell
-    kernel's second half; see ``evaluate``."""
-    if p_total == 0.0:
-        i_ab = i_ae = i_be = v_ab_e = p_photonpass = v_ae_n = 0.0
-    else:
-        eta = detector.eta
-        dk = detector.dark_prob
-        s = t_section * eta
-
-        i_ab = 1.0 - binary_entropy(0.5 * (1.0 + v_ab))
-
-        v_ab_e = channel.v_opt ** n
-        _, n_bell = _station_counts(n)
-        if n_bell > 0:
-            # p_click**2 > (1 - 2D) s**2 / 2 on any link that is not
-            # degenerate, so the ratio is defined.  It is not formed without
-            # Bell stations: its square terms underflow long before p_total.
-            v_ab_e *= (0.5 * s * s / (p_click * p_click
-                                      - (1.0 - 2.0 * dk) * 0.5 * s * s)
-                       ) ** n_bell
-            # The ratio overshoots 1 by O(dark_prob) at short distance with a
-            # near-perfect channel; clamp to keep the visibility physical.
-            if v_ab_e > 1.0:
-                v_ab_e = 1.0
-        eve_vis = eve_base_visibility(v_ab_e)
-
-        # Eve learns nothing from the sifted bits that exist only thanks to a
-        # dark count inside a terminal laboratory.
-        click_given_photon = eta + (1.0 - eta) * 2.0 * dk
-        p_photonpass = (t_section * click_given_photon
-                        / (s + (1.0 - s) * 2.0 * dk))
-        v_ae_n = eta * eve_vis / click_given_photon
-        i_be = p_photonpass * (1.0 - binary_entropy(0.5 * (1.0 + v_ae_n)))
-
-        if n % 2 == 0:
-            i_ae = i_be
-        else:
-            i_ae = 1.0 - binary_entropy(0.5 + 0.5 * eve_vis)
-
-    rate_forward = max(0.0, p_total * (i_ab - i_ae))
-    rate_reverse = (max(0.0, p_total * (i_ab - i_be)) if n == 1
-                    else None)
-    return ((i_ab, i_ae, i_be, v_ab_e, p_photonpass, v_ae_n),
-            rate_forward, rate_reverse)
-
-
-def _key_rates(n: int, channel: ChannelParams, detector: DetectorParams,
-               distance_km: float) -> tuple[float, float | None]:
-    """``(rate_forward, rate_reverse)`` of one cell from the per-cell kernel,
-    with no config or record built: the optimizer's rate probe.  The caller
-    has checked ``n`` and ``distance_km`` as ``RelayConfig`` would."""
-    t_section, p_click, _, p_total, v_ab = _link(n, channel, detector,
-                                                 distance_km)
-    return _info(n, channel, detector, t_section, p_click, p_total, v_ab)[1:]
-
-
 def evaluate(config: RelayConfig) -> tuple[LinkMetrics, InfoMetrics, KeyRates]:
-    """Link, information and rate metrics of one configuration, from a single
-    ``link_metrics`` evaluation; see ``info_metrics`` and ``key_rates``."""
-    lm = link_metrics(config)
-    info, rate_forward, rate_reverse = _info(
-        config.n_sections, config.channel, config.detector,
-        lm.t_section, lm.p_click, lm.p_total, lm.v_ab)
-    return lm, InfoMetrics(*info), KeyRates(rate_forward, rate_reverse)
+    """Link, information and rate metrics of one configuration, from one
+    ``kernel`` cell; see ``link_metrics``, ``info_metrics`` and
+    ``key_rates``."""
+    cell = kernel(config.n_sections, config.channel, config.detector)[1]
+    link, info, rates = cell(config.distance_km)
+    return LinkMetrics(*link), InfoMetrics(*info), KeyRates(*rates)
 
 
 def info_metrics(config: RelayConfig) -> InfoMetrics:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .params import InvalidParameterError, RelayConfig, require_count
 
@@ -33,6 +32,21 @@ GENERATOR_METADATA = {
     "algorithm": "philox4x64 (numpy.random.Philox)",
     "substreams": "key = (seed, chunk_index), counter from 0",
 }
+
+
+def _import_numpy():
+    """Bind and return ``np``: numpy is imported on first use, so that of the
+    CLI subcommands only ``mc`` pays for loading it."""
+    global np
+    import numpy as np
+    return np
+
+
+def __getattr__(name: str):
+    # ``montecarlo.np`` before the first ``simulate`` (PEP 562)
+    if name == "np":
+        return _import_numpy()
+    return object.__getattribute__(sys.modules[__name__], name)
 
 
 @dataclass(frozen=True)
@@ -154,6 +168,7 @@ def simulate(config: TrialConfig, workers: int = 1) -> McEstimate:
     """
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    _import_numpy()  # here, once, before the worker threads start
     model = _PulseModel.from_config(config.relay)
     n_chunks = (config.trials + config.chunk_size - 1) // config.chunk_size
 

@@ -7,7 +7,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .model import _key_rates, check_reconciliation
+from . import model
 from .params import (ChannelParams, DetectorParams, InvalidParameterError,
                      RelayConfig, require_count)
 
@@ -63,30 +63,37 @@ class DetectorSweepResult:
     best_by_n: dict[int, SweepPoint]
 
 
-def _rate(n: int, distance_km: float, channel: ChannelParams,
-          detector: DetectorParams, reconciliation: str = "forward") -> float:
-    """The model's key rate for ``reconciliation`` at one operating point,
-    from its per-cell kernel.  A probe builds no config: each caller checks
-    ``n`` and ``distance_km`` once, as ``RelayConfig`` would, and the
-    bisection keeps d finite and >= 0."""
-    rate_forward, rate_reverse = _key_rates(n, channel, detector, distance_km)
-    return rate_reverse if reconciliation == "reverse" else rate_forward
-
-
-def _largest_distance_where(positive) -> float:
+def _largest_distance_where(positive, estimate_km: float) -> float:
     """sup{d >= 0 : positive(d)} via doubling bracket plus bisection.
 
     Assumes positive changes from True to False at most once in d; returns 0
-    when positive(0) is False and inf if the bracket cap is exceeded.
+    when positive(0) is False and inf if the bracket cap is exceeded.  The
+    bracket's top is the first of 10 km * 2**k, k = 0..16, where positive
+    fails, and its bottom the bucket before (0 for k = 0).  Under that
+    assumption every search finds the same bracket, so this one starts at the
+    bucket holding ``estimate_km`` and steps up or down from there (from
+    10 km, the cold start, when the estimate is 0 or inf), and it probes 0
+    only when the bracket's bottom is 0: any positive probe implies
+    positive(0).
     """
-    if not positive(0.0):
-        return 0.0
-    lo = 0.0
     hi = BRACKET_START_KM
-    while positive(hi):
-        lo, hi = hi, hi * 2.0
-        if hi > BRACKET_CAP_KM:
-            return math.inf
+    while hi < estimate_km < math.inf and hi * 2.0 <= BRACKET_CAP_KM:
+        hi *= 2.0
+    if positive(hi):                    # short of the cutoff: double up
+        while True:
+            lo, hi = hi, hi * 2.0
+            if hi > BRACKET_CAP_KM:
+                return math.inf
+            if not positive(hi):
+                break
+    else:                               # past it: halve down
+        lo = hi * 0.5
+        while lo >= BRACKET_START_KM and not positive(lo):
+            lo, hi = lo * 0.5, lo
+        if lo < BRACKET_START_KM:
+            if not positive(0.0):
+                return 0.0
+            lo = 0.0
     while hi - lo > BISECT_TOL_KM:
         mid = 0.5 * (lo + hi)
         if positive(mid):
@@ -100,11 +107,13 @@ def max_distance_exact(n: int, channel: ChannelParams,
                        detector: DetectorParams,
                        reconciliation: str = "forward") -> float:
     """Largest distance in km with a strictly positive key rate, to 0.1 km;
-    0 when there is no key at 0 km, inf past the bracket cap."""
-    check_reconciliation(n, reconciliation)
-    require_count("n_sections", n, 1)
-    return _largest_distance_where(
-        lambda d: _rate(n, d, channel, detector, reconciliation) > 0.0)
+    0 when there is no key at 0 km, inf past the bracket cap.  Each probe is
+    one ``model.kernel`` cell."""
+    model.check_reconciliation(n, reconciliation)
+    cell = model.kernel(n, channel, detector)[1]
+    k = 1 if reconciliation == "reverse" else 0
+    return _largest_distance_where(lambda d: cell(d)[2][k] > 0.0,
+                                   max_distance_approx(n, channel, detector))
 
 
 def max_distance_approx(n: int, channel: ChannelParams,
@@ -153,9 +162,10 @@ def threshold_distance(n: int, channel: ChannelParams,
     if not rate_threshold_per_pulse > 0:
         raise InvalidParameterError(
             f"rate threshold must be > 0, got {rate_threshold_per_pulse}")
-    require_count("n_sections", n, 1)
+    cell = model.kernel(n, channel, detector)[1]
     return _largest_distance_where(
-        lambda d: _rate(n, d, channel, detector) >= rate_threshold_per_pulse)
+        lambda d: cell(d)[2][0] >= rate_threshold_per_pulse,
+        max_distance_approx(n, channel, detector))
 
 
 def detector_dark(eta: float, line: DetectorLine) -> float:
@@ -189,7 +199,8 @@ def detector_sweep(distance_km: float, sections: list[int],
     for n in sections:
         RelayConfig(n, distance_km, channel)  # checks n and d, once per n
         for detector in detectors:
-            rate = _rate(n, distance_km, channel, detector)
+            cell = model.kernel(n, channel, detector)[1]
+            rate = cell(distance_km)[2][0]
             point = SweepPoint(n, detector.eta, detector.dark_prob, rate)
             points.append(point)
             if n not in best_by_n or point.rate > best_by_n[n].rate:

@@ -54,3 +54,36 @@ def test_readme_quick_start_runs(capsys):
     printed = capsys.readouterr().out.splitlines()
     n_star, d_max = printed[1].split()
     assert int(n_star) == 18 and 600.0 <= float(d_max) <= 700.0
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _reach_ins(tree):
+    """``module.name`` for every underscore name ``tree`` reads from another
+    module of the package, by ``from .module import _x`` or ``module._x``."""
+    siblings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    yield f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings):
+            yield f"{node.value.id}.{node.attr}"
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = {path.name: sorted(_reach_ins(ast.parse(
+                 path.read_text(encoding="utf-8"))))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert not any(found.values()), found
+    # the check sees a reach-in when there is one
+    assert sorted(_reach_ins(ast.parse(
+        "from . import model as m\nfrom .model import _a\nm._b"))) \
+        == ["m._b", "model._a"]

@@ -122,19 +122,26 @@ def test_keyrate_columns_and_reverse_dominance(capsys):
 
 
 def count_kernel_calls(monkeypatch):
+    # per-cell calls of model.kernel's callables: "_link" counts every link
+    # evaluation, the one inside a full cell too, and "_info" the full cells
     from qkdrelay import model
     calls = {"_link": 0, "_info": 0}
+    real_kernel = model.kernel
 
-    def counted(name):
-        real = getattr(model, name)
+    def kernel(*args):
+        link, cell = real_kernel(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
+        def counted_link(d):
+            calls["_link"] += 1
+            return link(d)
 
-    for name in calls:
-        monkeypatch.setattr(model, name, counted(name))
+        def counted_cell(d):
+            calls["_link"] += 1
+            calls["_info"] += 1
+            return cell(d)
+        return counted_link, counted_cell
+
+    monkeypatch.setattr(model, "kernel", kernel)
     return calls
 
 
@@ -586,3 +593,25 @@ def test_module_entry_point():
     doc = json.loads(proc.stdout)
     assert doc["rate_factor"] == pytest.approx(0.01)
     assert doc["distance_loss_km"] == pytest.approx(80.0)
+
+
+def test_only_mc_loads_numpy():
+    # numpy is imported by the first simulate, so the other subcommands
+    # never pay for it; one child runs keyrate, maxdist and then mc
+    src = str(Path(qkdrelay.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = "\n".join([
+        "import contextlib, io, sys",
+        "from qkdrelay import cli",
+        "for argv in (['keyrate', '--dmax', '10'], ['maxdist'],",
+        "             ['mc', '--trials', '1000']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.main(argv) == 0",
+        "    print(argv[0], 'numpy' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["keyrate False", "maxdist False",
+                                       "mc True", ""]

@@ -1,10 +1,13 @@
+import hashlib
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import reference as ref
+from qkdrelay import model
 from qkdrelay import (ChannelParams, DetectorParams, InvalidParameterError,
                       RelayConfig, binary_entropy, evaluate,
                       eve_base_visibility, eve_usable_visibility,
@@ -318,6 +321,56 @@ def test_evaluate_equals_single_purpose_calls():
                 assert eve_usable_visibility(cfg) == got[1].v_ab_e
                 degenerate += got[0].p_total == 0.0
     assert degenerate > 100
+
+
+# sha256 of repr of the evaluate fields of KERNEL_CELLS, frozen before the
+# per-cell kernel was hoisted into model.kernel; it changes only with the
+# independent evidence ROADMAP's frozen-values rule asks for
+KERNEL_DIGEST = ("41bfc889f4c38815e7f3ebbc55de10de"
+                 "e1c99efb13e94dd84144db8dd75f3a97")
+
+
+def kernel_cells(count=40_000):
+    """Seeded (n, channel, detector, d): n up to 30, dark 0 on a sixth,
+    v_opt 1 on a fifth, and half the distances log-uniform out to 1e5 km,
+    far past the horizon where a dark-free link turns degenerate."""
+    rng = random.Random(2104)
+    for i in range(count):
+        n = rng.randint(1, 30)
+        v_opt = 1.0 if i % 5 == 0 else rng.uniform(0.8, 1.0)
+        channel = ChannelParams(rng.uniform(0.15, 0.35), v_opt)
+        dark = 0.0 if i % 6 == 0 else 10.0 ** rng.uniform(-7.0, -2.3)
+        detector = DetectorParams(rng.uniform(0.05, 0.9), dark)
+        d = (0.0 if i % 97 == 0 else rng.uniform(0.0, 1000.0)
+             if rng.random() < 0.5 else 10.0 ** rng.uniform(-1.0, 5.0))
+        yield n, channel, detector, d
+
+
+def test_kernel_values_are_frozen():
+    via_records, via_kernel = [], []
+    degenerate = 0
+    for n, channel, detector, d in kernel_cells():
+        records = evaluate(RelayConfig(n, d, channel, detector))
+        via_records.append(tuple(value for record in records
+                                 for value in vars(record).values()))
+        link, cell = model.kernel(n, channel, detector)
+        fields, info, rates = cell(d)
+        assert link(d) == fields
+        via_kernel.append(fields + info + rates)
+        degenerate += fields[3] == 0.0
+    assert degenerate > 400
+    for values in (via_records, via_kernel):
+        assert hashlib.sha256(repr(values).encode()).hexdigest() \
+            == KERNEL_DIGEST
+
+
+def test_kernel_checks_the_section_count_as_relay_config_does():
+    for bad in (0, 1.0, 10 ** 400):
+        with pytest.raises(InvalidParameterError) as from_kernel:
+            model.kernel(bad, ChannelParams(), DetectorParams())
+        with pytest.raises(InvalidParameterError) as from_config:
+            RelayConfig(bad, 10.0)
+        assert str(from_kernel.value) == str(from_config.value)
 
 
 def test_key_rate_zero_distance():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from qkdrelay import optimize
+from qkdrelay import model, optimize
 from qkdrelay import (BEST_LINE, DETECTOR_LINES, GOOD_LINE, NORMAL_LINE,
                       ChannelParams, DetectorLine, DetectorParams,
                       InvalidParameterError, RelayConfig, detector_dark,
@@ -179,7 +179,8 @@ def test_relays_beat_one_section_only_near_its_cutoff():
     # Over the window where the better one-section rate (forward or reverse)
     # is positive, record where each n first has a larger forward rate.  The
     # claim holds only below 138.7 km; n >= 8 never wins.  Settling Eve's
-    # Bell dilution (ROADMAP item 3) will move the n >= 3 entries.
+    # Bell dilution (ROADMAP item 3) leaves every entry where it is at this
+    # 0.1 km resolution.
     grid = [i / 10 for i in range(1944)]                # 0 .. 194.3 km
     single = [max(kr.rate_forward, kr.rate_reverse)
               for kr in (evaluate(RelayConfig(1, d, CHANNEL, DETECTOR))[2]
@@ -396,6 +397,91 @@ def test_probes_build_no_config_each(monkeypatch, call, most):
     monkeypatch.setattr(RelayConfig, "__post_init__", counted)
     call()
     assert len(built) <= most
+
+
+# ---------------------------------------------------- estimate-started bracket
+
+def cold_cutoff(positive):
+    # the reference search, from the cold start: probe 0, double up from
+    # 10 km to the cap, bisect; any start of the bracket must give its result
+    if not positive(0.0):
+        return 0.0
+    lo, hi = 0.0, optimize.BRACKET_START_KM
+    while positive(hi):
+        lo, hi = hi, hi * 2.0
+        if hi > optimize.BRACKET_CAP_KM:
+            return math.inf
+    while hi - lo > optimize.BISECT_TOL_KM:
+        mid = 0.5 * (lo + hi)
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_estimate_start_gives_the_cold_cutoffs_and_thresholds():
+    rng = random.Random(1121)
+    estimates = {"zero": 0, "inf": 0, "finite": 0}
+    for i in range(400):
+        channel = ChannelParams(rng.uniform(0.15, 0.35),
+                                1.0 if i % 5 == 0 else rng.uniform(0.9, 1.0))
+        dark = 0.0 if i % 6 == 0 else 10.0 ** rng.uniform(-7.0, -2.0)
+        detector = DetectorParams(rng.uniform(0.05, 0.9), dark)
+        threshold = 10.0 ** rng.uniform(-14.0, -4.0)
+        for n in range(1, 31):
+            estimate = max_distance_approx(n, channel, detector)
+            estimates["zero" if estimate == 0.0 else "inf"
+                      if estimate == math.inf else "finite"] += 1
+            cell = model.kernel(n, channel, detector)[1]
+            assert max_distance_exact(n, channel, detector) == cold_cutoff(
+                lambda d: cell(d)[2][0] > 0.0), (i, n)
+            assert threshold_distance(n, channel, detector, threshold) == \
+                cold_cutoff(lambda d: cell(d)[2][0] >= threshold), (i, n)
+        cell = model.kernel(1, channel, detector)[1]
+        assert max_distance_exact(1, channel, detector, "reverse") == \
+            cold_cutoff(lambda d: cell(d)[2][1] > 0.0), i
+    assert min(estimates.values()) > 600, estimates
+
+
+def record_probes(monkeypatch):
+    # the distances of every full-cell call of model.kernel, in call order
+    probes = []
+    real_kernel = model.kernel
+
+    def kernel(*args):
+        link, cell = real_kernel(*args)
+
+        def probe(d):
+            probes.append(d)
+            return cell(d)
+        return link, probe
+
+    monkeypatch.setattr(model, "kernel", kernel)
+    return probes
+
+
+def test_estimate_start_stays_under_the_cap(monkeypatch):
+    # the estimate, about 815,000 km, lies in the bucket that ends at
+    # 10 * 2**17 km, past the cap; the rate is positive at 10 * 2**16 km and
+    # 0 at 10 * 2**17, so a start there would bisect to a finite cutoff
+    channel = ChannelParams(2e-4, 1.0)
+    detector = DetectorParams(0.3, 1e-10)
+    assert 10.0 * 2 ** 16 < max_distance_approx(2, channel, detector) \
+        < 10.0 * 2 ** 17
+    cell = model.kernel(2, channel, detector)[1]
+    assert cell(10.0 * 2 ** 16)[2][0] > 0.0
+    assert cell(10.0 * 2 ** 17)[2][0] == 0.0
+    probes = record_probes(monkeypatch)
+    assert max_distance_exact(2, channel, detector) == math.inf
+    assert probes == [10.0 * 2 ** 16]
+
+
+def test_estimate_start_saves_probes_at_the_default_point(monkeypatch):
+    # 592 probes from the cold start
+    probes = record_probes(monkeypatch)
+    assert optimal_sections(CHANNEL, DETECTOR, 30)[0] == 18
+    assert len(probes) <= 430
 
 
 # ------------------------------------------------------------------ validation
