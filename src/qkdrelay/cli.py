@@ -227,11 +227,15 @@ def _resolve_params(args: argparse.Namespace) -> dict:
 def _cmd_visibility(args, params, channel, detector):
     sections = parse_sections(args.sections)
     grid = inclusive_grid(args.dmin, args.dmax, args.dstep)
-    # every n is checked before the first row, and only if a row uses it
-    links = ([(n, model.kernel(n, channel, detector)[0]) for n in sections]
-             if grid else [])
-    rows = ((n, d, link(d)[4]) for n, link in links for d in grid)
-    return _table(args.format, params, ["n", "distance_km", "v_ab"], rows), 0
+
+    def rows():
+        for n in (sections if grid else ()):
+            link = model.kernel(n, channel, detector)[0]
+            for d in grid:
+                yield n, d, link(d)[4]
+
+    return _table(args.format, params, ["n", "distance_km", "v_ab"],
+                  rows()), 0
 
 
 def _cmd_keyrate(args, params, channel, detector):
@@ -240,12 +244,10 @@ def _cmd_keyrate(args, params, channel, detector):
         check_reconciliation(n, args.reconciliation)
     rate_index = 1 if args.reconciliation == "reverse" else 0
     grid = inclusive_grid(args.dmin, args.dmax, args.dstep)
-    # every n is checked before the first row, and only if a row uses it
-    cells = ([(n, model.kernel(n, channel, detector)[1]) for n in sections]
-             if grid else [])
 
     def cell_rows():
-        for n, cell in cells:
+        for n in (sections if grid else ()):
+            cell = model.kernel(n, channel, detector)[1]
             for d in grid:
                 link, (i_ab, i_ae, i_be, *_), rates = cell(d)
                 yield n, d, rates[rate_index], i_ab, i_ae, i_be, link[3]

@@ -91,59 +91,37 @@ class McEstimate:
     se_v_ab: float
 
 
-@dataclass(frozen=True)
-class _PulseModel:
-    """Per-station Bernoulli weights derived from a RelayConfig."""
-
-    genuine: float       # photon detected, no wrong-side dark count
-    rescue: float        # photon lost, dark count fakes the click
-    merge_rescue: float  # merged Bell outcome completed by a dark count
-    v_chain: float       # whole-chain optical visibility
-    n_terminals: int
-    n_bells: int
-
-    @classmethod
-    def from_config(cls, relay: RelayConfig) -> "_PulseModel":
-        # the fibre transmission is computed here, not read from the model,
-        # so that the oracle shares no formula with what it checks
-        t = 10.0 ** (-relay.channel.alpha_db_per_km * relay.distance_km
-                     / 10.0)
-        dk = relay.detector.dark_prob
-        s = t ** (1.0 / relay.n_sections) * relay.detector.eta
-        n_bells = (relay.n_sections - 1) // 2
-        return cls(
-            genuine=s * (1.0 - dk),
-            rescue=(1.0 - s) * 2.0 * dk * (1.0 - dk),
-            merge_rescue=2.0 * dk,
-            v_chain=relay.channel.v_opt ** relay.n_sections,
-            n_terminals=relay.n_sections - 2 * n_bells,
-            n_bells=n_bells,
-        )
-
-
-def _run_chunk(model: _PulseModel, size: int, seed: int,
+def _run_chunk(relay: RelayConfig, size: int, seed: int,
                chunk_index: int) -> tuple[int, int]:
     """Simulate one chunk of pulses; returns (accepted, correct) counts."""
+    # the fibre transmission is computed here, not read from the model,
+    # so that the oracle shares no formula with what it checks
+    t = 10.0 ** (-relay.channel.alpha_db_per_km * relay.distance_km / 10.0)
+    dk = relay.detector.dark_prob
+    s = t ** (1.0 / relay.n_sections) * relay.detector.eta
+    genuine = s * (1.0 - dk)          # photon seen, no wrong-side dark count
+    rescue = (1.0 - s) * 2.0 * dk * (1.0 - dk)  # photon lost, a dark fakes it
+    merge_rescue = 2.0 * dk   # merged Bell outcome completed by a dark count
+    gr = genuine + rescue
+    n_bells = (relay.n_sections - 1) // 2
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
-    g = model.genuine
-    gr = model.genuine + model.rescue
 
     accepted = rng.random(size) < 0.5          # basis sifting
     all_genuine = np.ones(size, dtype=bool)
 
-    for _ in range(model.n_terminals):
+    for _ in range(relay.n_sections - 2 * n_bells):   # terminal stations
         u = rng.random(size)
         accepted &= u < gr
-        all_genuine &= u < g
+        all_genuine &= u < genuine
 
-    for _ in range(model.n_bells):
+    for _ in range(n_bells):
         u1 = rng.random(size)
         u2 = rng.random(size)
         resolved = rng.random(size) < 0.5      # which Bell states landed
-        rescued = rng.random(size) < model.merge_rescue
-        g1 = u1 < g
-        g2 = u2 < g
+        rescued = rng.random(size) < merge_rescue
+        g1 = u1 < genuine
+        g2 = u2 < genuine
         both = g1 & g2
         # Two genuine clicks: accepted if resolved, or if the merged single
         # click is completed by a dark count.  Otherwise each photon-less
@@ -153,10 +131,10 @@ def _run_chunk(model: _PulseModel, size: int, seed: int,
             return 0, 0                        # later draws change no count
         all_genuine &= both & resolved
 
-    clean_optics = rng.random(size) < model.v_chain
+    clean_optics = rng.random(size) < relay.channel.v_opt ** relay.n_sections
     agree_coin = rng.random(size) < 0.5
     signal = accepted & all_genuine & clean_optics
-    correct = signal | (accepted & ~signal & agree_coin)
+    correct = signal | (accepted & agree_coin)   # signal within accepted
     return int(accepted.sum()), int(correct.sum())
 
 
@@ -169,12 +147,11 @@ def simulate(config: TrialConfig, workers: int = 1) -> McEstimate:
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     _import_numpy()  # here, once, before the worker threads start
-    model = _PulseModel.from_config(config.relay)
     n_chunks = (config.trials + config.chunk_size - 1) // config.chunk_size
 
     def run(i: int) -> tuple[int, int]:
         size = min(config.chunk_size, config.trials - i * config.chunk_size)
-        return _run_chunk(model, size, config.seed, i)
+        return _run_chunk(config.relay, size, config.seed, i)
 
     accepted = 0
     correct = 0

@@ -162,6 +162,32 @@ def test_visibility_evaluates_each_link_once_per_cell(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("cmd", ["visibility", "keyrate"])
+def test_grid_holds_one_kernel_at_a_time(cmd, monkeypatch, capsys):
+    # each section's kernel is built after the previous section's rows are
+    # drawn, so a long --sections list never holds every kernel at once
+    from qkdrelay import model
+    events = []
+    real_kernel = model.kernel
+
+    def kernel(n, *args):
+        events.append(("kernel", n))
+
+        def traced(half):
+            def call(d):
+                events.append(("cell", n))
+                return half(d)
+            return call
+        return tuple(map(traced, real_kernel(n, *args)))
+
+    monkeypatch.setattr(model, "kernel", kernel)
+    code, out, _ = run_cli(capsys, cmd, "--sections", "1..4",
+                           "--dmax", "10", "--dstep", "10")
+    assert code == 0 and len(csv_rows(out)[1]) == 8
+    assert events == [e for n in range(1, 5)
+                      for e in [("kernel", n), ("cell", n), ("cell", n)]]
+
+
+@pytest.mark.parametrize("cmd", ["visibility", "keyrate"])
 def test_grid_checks_section_counts_only_for_a_nonempty_grid(cmd, capsys):
     huge = "1" + "0" * 400  # an integer too large for a float
     code, out, err = run_cli(capsys, cmd, "--sections", f"1,{huge}",

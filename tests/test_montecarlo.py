@@ -187,6 +187,32 @@ def test_zscore_grid_against_analytic():
         assert abs(z_v) <= 4.0
 
 
+# Dark-dominated cells, beside criterion 09's D = 1e-4 grid: there every
+# dark-count rule is an O(1e-4) effect, below what 1e6 trials resolve, so a
+# wrong rescue weight or a signal that ignores the Bell resolution passes.
+# Cell i draws with seed 1000 + i; the seeds were fixed before the first run.
+DARK_GRID = (
+    [(n, d, 0.3, dark) for dark in (0.01, 0.05) for n in (1, 2, 3, 4)
+     for d in (0.0, 50.0, 100.0)]
+    + [(n, d, 0.9, dark) for dark in (0.05, 0.2, 0.3) for n in (3, 5)
+       for d in (0.0, 20.0)])
+
+
+def test_dark_dominated_grid_matches_analytic():
+    assert len(DARK_GRID) == 36
+    offenders = []
+    for i, (n, d, eta, dark) in enumerate(DARK_GRID):
+        cfg = make_config(n, d, eta=eta, dark=dark)
+        lm = link_metrics(cfg)
+        est = simulate(TrialConfig(cfg, trials=10**6, seed=1000 + i),
+                       workers=2)
+        z_p, z_v = zscore(est, lm.p_total, lm.v_ab)
+        if not (z_p is not None and z_v is not None
+                and abs(z_p) <= Z_THRESHOLD and abs(z_v) <= Z_THRESHOLD):
+            offenders.append((n, d, eta, dark, z_p, z_v))
+    assert offenders == []
+
+
 def test_verdict_passes_at_the_threshold_and_skips_undefined_scores():
     # p = 1/2 over 64 trials has a standard error of exactly 1/16, so an
     # estimate 16 trials off the expected 32 scores exactly 4.0; v = 1 with
