@@ -241,8 +241,7 @@ def _cmd_visibility(args, params, channel, detector):
 def _cmd_keyrate(args, params, channel, detector):
     sections = parse_sections(args.sections)
     for n in sections:
-        check_reconciliation(n, args.reconciliation)
-    rate_index = 1 if args.reconciliation == "reverse" else 0
+        rate_index = check_reconciliation(n, args.reconciliation)
     grid = inclusive_grid(args.dmin, args.dmax, args.dstep)
 
     def cell_rows():
@@ -438,13 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8", newline="")
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -453,7 +445,10 @@ def main(argv: list[str] | None = None) -> int:
         channel = ChannelParams(params["alpha"], params["vopt"])
         detector = DetectorParams(params["eta"], params["dark"])
         text, code = args.handler(args, params, channel, detector)
-        _write_output(text, args.out)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8", newline="")
+        else:
+            sys.stdout.write(text)
     except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

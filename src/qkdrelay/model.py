@@ -57,8 +57,9 @@ class KeyRates:
     rate_reverse: float | None  # defined for single-section links only
 
 
-def check_reconciliation(n: int, reconciliation: str) -> None:
-    """Reject a reconciliation that ``KeyRates`` does not define for ``n``
+def check_reconciliation(n: int, reconciliation: str) -> int:
+    """Index of ``reconciliation``'s rate in ``KeyRates``: 0 for forward, 1
+    for reverse.  Rejects what ``KeyRates`` does not define for ``n``
     sections: anything but forward and reverse, and reverse for n != 1."""
     if reconciliation not in ("forward", "reverse"):
         raise InvalidParameterError(
@@ -66,16 +67,17 @@ def check_reconciliation(n: int, reconciliation: str) -> None:
     if reconciliation == "reverse" and n != 1:
         raise InvalidParameterError(
             "reverse reconciliation is only defined for n_sections == 1")
+    return 1 if reconciliation == "reverse" else 0
 
 
 def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
     """Probability that a photon survives ``distance_km`` of fibre."""
-    if alpha_db_per_km <= 0:
-        raise InvalidParameterError(
-            f"alpha_db_per_km must be > 0, got {alpha_db_per_km}")
-    if distance_km < 0:
-        raise InvalidParameterError(
-            f"distance_km must be >= 0, got {distance_km}")
+    if not 0 < alpha_db_per_km < math.inf:
+        raise InvalidParameterError(f"alpha_db_per_km must be finite "
+                                    f"and > 0, got {alpha_db_per_km}")
+    if not 0 <= distance_km < math.inf:
+        raise InvalidParameterError(f"distance_km must be finite and "
+                                    f">= 0, got {distance_km}")
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 

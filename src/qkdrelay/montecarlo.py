@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,21 +31,6 @@ GENERATOR_METADATA = {
     "algorithm": "philox4x64 (numpy.random.Philox)",
     "substreams": "key = (seed, chunk_index), counter from 0",
 }
-
-
-def _import_numpy():
-    """Bind and return ``np``: numpy is imported on first use, so that of the
-    CLI subcommands only ``mc`` pays for loading it."""
-    global np
-    import numpy as np
-    return np
-
-
-def __getattr__(name: str):
-    # ``montecarlo.np`` before the first ``simulate`` (PEP 562)
-    if name == "np":
-        return _import_numpy()
-    return object.__getattribute__(sys.modules[__name__], name)
 
 
 @dataclass(frozen=True)
@@ -94,6 +78,7 @@ class McEstimate:
 def _run_chunk(relay: RelayConfig, size: int, seed: int,
                chunk_index: int) -> tuple[int, int]:
     """Simulate one chunk of pulses; returns (accepted, correct) counts."""
+    import numpy as np  # here, so that of the CLI only ``mc`` loads numpy
     # the fibre transmission is computed here, not read from the model,
     # so that the oracle shares no formula with what it checks
     t = 10.0 ** (-relay.channel.alpha_db_per_km * relay.distance_km / 10.0)
@@ -144,9 +129,8 @@ def simulate(config: TrialConfig, workers: int = 1) -> McEstimate:
     ``workers`` only controls thread fan-out over chunks, capped at the
     chunk count and the CPU count; it never changes the result.
     """
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-    _import_numpy()  # here, once, before the worker threads start
+    require_count("workers", workers, 1)
+    import numpy  # on the calling thread, before the workers start
     n_chunks = (config.trials + config.chunk_size - 1) // config.chunk_size
 
     def run(i: int) -> tuple[int, int]:

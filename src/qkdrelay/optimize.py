@@ -109,9 +109,8 @@ def max_distance_exact(n: int, channel: ChannelParams,
     """Largest distance in km with a strictly positive key rate, to 0.1 km;
     0 when there is no key at 0 km, inf past the bracket cap.  Each probe is
     one ``model.kernel`` cell."""
-    model.check_reconciliation(n, reconciliation)
+    k = model.check_reconciliation(n, reconciliation)
     cell = model.kernel(n, channel, detector)[1]
-    k = 1 if reconciliation == "reverse" else 0
     return _largest_distance_where(lambda d: cell(d)[2][k] > 0.0,
                                    max_distance_approx(n, channel, detector))
 
@@ -217,8 +216,8 @@ def source_penalty(m_sources: int, emission_prob: float,
     if not 0 < emission_prob <= 1:
         raise InvalidParameterError(
             f"emission_prob must be in (0, 1], got {emission_prob}")
-    if not alpha > 0:
-        raise InvalidParameterError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise InvalidParameterError(f"alpha must be finite and > 0, got {alpha}")
     rate_factor = emission_prob ** m_sources
     distance_loss = (10.0 * m_sources / alpha) * math.log10(1.0 / emission_prob)
     return SourcePenalty(rate_factor, distance_loss)

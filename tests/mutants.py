@@ -33,6 +33,8 @@ MUTANTS = [
      "genuine = s * (1.0 - dk)", "genuine = s"),
     ("src/qkdrelay/montecarlo.py",
      "all_genuine &= both & resolved", "all_genuine &= both"),
+    ("src/qkdrelay/model.py",
+     'return 1 if reconciliation == "reverse" else 0', "return 0"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

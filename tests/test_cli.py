@@ -510,6 +510,18 @@ def test_config_file_unknown_key_is_usage_error(tmp_path, capsys):
     assert "gamma" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("# ok\neta 0.2\n", "2: expected key=value, got 'eta 0.2'"),
+    ("eta = high\n", "1: cannot parse value 'high'"),
+])
+def test_config_file_bad_line_is_usage_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "visibility", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"error: {cfg}:{message}\n"
+
+
 def test_non_utf8_config_file_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bin.cfg"
     cfg.write_bytes(b"\xff\xfe\x00a")

@@ -36,7 +36,10 @@ def test_transmittance_hundred_km():
                                                        rel=1e-12)
 
 
-@pytest.mark.parametrize("alpha,d", [(-0.25, 10.0), (0.0, 10.0), (0.25, -1.0)])
+@pytest.mark.parametrize("alpha,d", [
+    (-0.25, 10.0), (0.0, 10.0), (0.25, -1.0), (math.nan, 1.0), (math.inf, 1.0),
+    (0.25, math.nan), (0.25, math.inf),
+])
 def test_transmittance_rejects_invalid(alpha, d):
     with pytest.raises(InvalidParameterError):
         transmittance(alpha, d)

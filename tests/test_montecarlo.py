@@ -2,6 +2,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qkdrelay import (ChannelParams, DetectorParams, InvalidParameterError,
@@ -113,12 +114,12 @@ def test_chunk_stops_drawing_once_every_pulse_is_rejected(monkeypatch):
     # are gone after a station or two, and the counts cannot change after that
     draws = []
 
-    class CountingGenerator(montecarlo.np.random.Generator):
+    class CountingGenerator(np.random.Generator):
         def random(self, *args, **kwargs):
             draws.append(1)
             return super().random(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo.np.random, "Generator", CountingGenerator)
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
     est = simulate(TrialConfig(RelayConfig(2001, 50.0), trials=10, seed=1,
                                chunk_size=10))
     assert (est.accepted, est.correct) == (0, 0)
@@ -320,6 +321,7 @@ def test_simulate_keeps_few_chunks_in_flight(monkeypatch):
 
 
 def test_simulate_rejects_bad_worker_count():
-    with pytest.raises(InvalidParameterError):
-        simulate(TrialConfig(make_config(1, 10.0), trials=10, seed=1),
-                 workers=0)
+    for workers in (0, 2.5, "2"):
+        with pytest.raises(InvalidParameterError):
+            simulate(TrialConfig(make_config(1, 10.0), trials=10, seed=1),
+                     workers=workers)

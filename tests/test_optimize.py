@@ -339,6 +339,7 @@ def test_source_penalty_perfect_source_costs_nothing():
 
 @pytest.mark.parametrize("m,p,alpha", [
     (-1, 0.1, 0.25), (1, 0.0, 0.25), (1, 1.5, 0.25), (1, 0.1, 0.0),
+    (1, 0.1, math.nan), (1, 0.1, math.inf),
     pytest.param(10 ** 400, 0.1, 0.25, id="10**400-0.1-0.25"),
 ])
 def test_source_penalty_validation(m, p, alpha):
