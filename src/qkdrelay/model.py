@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .params import (ChannelParams, DetectorParams, InvalidParameterError,
-                     RelayConfig, require_count)
+                     RelayConfig, require_count, require_finite)
 
 _MIN_NORMAL = sys.float_info.min  # below it a link is degenerate
 
@@ -72,12 +72,8 @@ def check_reconciliation(n: int, reconciliation: str) -> int:
 
 def transmittance(alpha_db_per_km: float, distance_km: float) -> float:
     """Probability that a photon survives ``distance_km`` of fibre."""
-    if not 0 < alpha_db_per_km < math.inf:
-        raise InvalidParameterError(f"alpha_db_per_km must be finite "
-                                    f"and > 0, got {alpha_db_per_km}")
-    if not 0 <= distance_km < math.inf:
-        raise InvalidParameterError(f"distance_km must be finite and "
-                                    f">= 0, got {distance_km}")
+    require_finite("alpha_db_per_km", alpha_db_per_km)
+    require_finite("distance_km", distance_km, zero_ok=True)
     return 10.0 ** (-alpha_db_per_km * distance_km / 10.0)
 
 

@@ -43,18 +43,12 @@ class TrialConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
-        require_count("trials", self.trials, 1)
-        if self.trials > MAX_TRIALS:
-            raise InvalidParameterError(
-                f"trials must be <= {MAX_TRIALS}, got {self.trials}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        require_count("trials", self.trials, 1, MAX_TRIALS)
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or not 0 <= self.seed < 2 ** 64):
             raise InvalidParameterError(
                 f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        require_count("chunk_size", self.chunk_size, 1)
-        if self.chunk_size > MAX_CHUNK_SIZE:
-            raise InvalidParameterError(
-                f"chunk_size must be <= {MAX_CHUNK_SIZE}, "
-                f"got {self.chunk_size}")
+        require_count("chunk_size", self.chunk_size, 1, MAX_CHUNK_SIZE)
 
 
 @dataclass(frozen=True)

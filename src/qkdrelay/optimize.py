@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from . import model
 from .params import (ChannelParams, DetectorParams, InvalidParameterError,
-                     RelayConfig, require_count)
+                     require_count, require_finite, require_fraction)
 
 BISECT_TOL_KM = 0.1          # figures are read at roughly km resolution
 BRACKET_START_KM = 10.0
@@ -126,7 +126,7 @@ def max_distance_approx(n: int, channel: ChannelParams,
     counts nothing lowers the visibility with distance, so the estimate's
     limit is inf when 2**(1/(2n)) * v_opt > 1 and 0 otherwise.
     """
-    require_count("n", n, 1)
+    require_count("n_sections", n, 1)
     margin = 2.0 ** (1.0 / (2.0 * n)) * channel.v_opt - 1.0
     if detector.dark_prob == 0.0:
         return math.inf if margin > 0.0 else 0.0
@@ -169,8 +169,7 @@ def threshold_distance(n: int, channel: ChannelParams,
 
 def detector_dark(eta: float, line: DetectorLine) -> float:
     """Dark-count probability on the tradeoff line at efficiency ``eta``."""
-    if not 0 < eta <= 1:
-        raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
+    require_fraction("eta", eta)
     try:
         dark = line.a_coeff * math.exp(line.b_coeff * eta)
     except OverflowError:
@@ -193,17 +192,15 @@ def detector_sweep(distance_km: float, sections: list[int],
         raise InvalidParameterError("sections and eta_grid must be non-empty")
     detectors = [DetectorParams(eta, detector_dark(eta, line))
                  for eta in eta_grid]
+    require_finite("distance_km", distance_km, zero_ok=True)
     points: list[SweepPoint] = []
     best_by_n: dict[int, SweepPoint] = {}
-    for n in sections:
-        RelayConfig(n, distance_km, channel)  # checks n and d, once per n
-        for detector in detectors:
-            cell = model.kernel(n, channel, detector)[1]
-            rate = cell(distance_km)[2][0]
-            point = SweepPoint(n, detector.eta, detector.dark_prob, rate)
-            points.append(point)
-            if n not in best_by_n or point.rate > best_by_n[n].rate:
-                best_by_n[n] = point
+    for n in sections:   # each (n, eta) kernel checks n
+        row = [SweepPoint(n, det.eta, det.dark_prob,
+                          model.kernel(n, channel, det)[1](distance_km)[2][0])
+               for det in detectors]
+        points += row
+        best_by_n[n] = max(row, key=lambda point: (point.rate, -point.eta))
     return DetectorSweepResult(tuple(points), best_by_n)
 
 
@@ -213,11 +210,8 @@ def source_penalty(m_sources: int, emission_prob: float,
     ``emission_prob``: the signal shrinks by emission_prob**m, equivalent to
     extra fibre of (10 m / alpha) * log10(1 / emission_prob) km."""
     require_count("m_sources", m_sources, 0)
-    if not 0 < emission_prob <= 1:
-        raise InvalidParameterError(
-            f"emission_prob must be in (0, 1], got {emission_prob}")
-    if not 0 < alpha < math.inf:
-        raise InvalidParameterError(f"alpha must be finite and > 0, got {alpha}")
+    require_fraction("emission_prob", emission_prob)
+    require_finite("alpha", alpha)
     rate_factor = emission_prob ** m_sources
     distance_loss = (10.0 * m_sources / alpha) * math.log10(1.0 / emission_prob)
     return SourcePenalty(rate_factor, distance_loss)

@@ -17,16 +17,36 @@ class InvalidParameterError(ValueError):
     """A physical parameter is outside its supported range."""
 
 
-def require_count(name: str, value, minimum: int) -> None:
-    """Reject ``value`` unless it is an integer >= ``minimum`` that converts
-    to a float (the model computes with counts as floats)."""
-    if not isinstance(value, int) or value < minimum:
+def require_count(name: str, value, minimum: int,
+                  maximum: int | None = None) -> None:
+    """Reject ``value`` unless it is an integer, not a bool, >= ``minimum``
+    that converts to a float (the model computes with counts as floats) and
+    is <= ``maximum`` when one is given."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or value < minimum):
         raise InvalidParameterError(
             f"{name} must be an integer >= {minimum}, got {value!r}")
     if value > sys.float_info.max:
         raise InvalidParameterError(
             f"{name} must be <= {sys.float_info.max!r} (the largest float), "
             f"got a {value.bit_length()}-bit integer")
+    if maximum is not None and value > maximum:
+        raise InvalidParameterError(
+            f"{name} must be <= {maximum}, got {value}")
+
+
+def require_fraction(name: str, value: float) -> None:
+    """Reject ``value`` unless it is in (0, 1]."""
+    if not 0 < value <= 1:
+        raise InvalidParameterError(f"{name} must be in (0, 1], got {value}")
+
+
+def require_finite(name: str, value: float, zero_ok: bool = False) -> None:
+    """Reject ``value`` unless it is finite and > 0, or >= 0 if ``zero_ok``."""
+    if not (0 <= value if zero_ok else 0 < value) or not value < math.inf:
+        raise InvalidParameterError(
+            f"{name} must be finite and {'>=' if zero_ok else '>'} 0, "
+            f"got {value}")
 
 
 @dataclass(frozen=True)
@@ -43,12 +63,8 @@ class ChannelParams:
     v_opt: float = DEFAULT_V_OPT
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha_db_per_km < math.inf:
-            raise InvalidParameterError(f"alpha_db_per_km must be finite "
-                                        f"and > 0, got {self.alpha_db_per_km}")
-        if not 0 < self.v_opt <= 1:
-            raise InvalidParameterError(
-                f"v_opt must be in (0, 1], got {self.v_opt}")
+        require_finite("alpha_db_per_km", self.alpha_db_per_km)
+        require_fraction("v_opt", self.v_opt)
 
 
 @dataclass(frozen=True)
@@ -63,8 +79,7 @@ class DetectorParams:
     dark_prob: float = DEFAULT_DARK_PROB
 
     def __post_init__(self) -> None:
-        if not 0 < self.eta <= 1:
-            raise InvalidParameterError(f"eta must be in (0, 1], got {self.eta}")
+        require_fraction("eta", self.eta)
         if not 0 <= self.dark_prob < 0.5:
             raise InvalidParameterError(
                 f"dark_prob must be in [0, 0.5), got {self.dark_prob}")
@@ -86,6 +101,4 @@ class RelayConfig:
 
     def __post_init__(self) -> None:
         require_count("n_sections", self.n_sections, 1)
-        if not 0 <= self.distance_km < math.inf:
-            raise InvalidParameterError(f"distance_km must be finite and "
-                                        f">= 0, got {self.distance_km}")
+        require_finite("distance_km", self.distance_km, zero_ok=True)

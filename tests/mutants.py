@@ -35,6 +35,10 @@ MUTANTS = [
      "all_genuine &= both & resolved", "all_genuine &= both"),
     ("src/qkdrelay/model.py",
      'return 1 if reconciliation == "reverse" else 0', "return 0"),
+    ("src/qkdrelay/optimize.py",
+     '    require_finite("distance_km", distance_km, zero_ok=True)\n', ""),
+    ("src/qkdrelay/params.py",
+     "if not 0 < value <= 1:", "if not 0 < value < 1:"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

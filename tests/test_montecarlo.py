@@ -320,8 +320,20 @@ def test_simulate_keeps_few_chunks_in_flight(monkeypatch):
     assert sorted(chunks) == list(range(1000)) and est.accepted == 1000
 
 
+@pytest.mark.parametrize("field, message", [
+    ("trials", "trials must be an integer >= 1, got True"),
+    ("seed", "seed must be an unsigned 64-bit integer, got True"),
+    ("chunk_size", "chunk_size must be an integer >= 1, got True"),
+], ids=["trials", "seed", "chunk_size"])
+def test_trial_config_rejects_boolean_counts(field, message):
+    kwargs = {"trials": 10, "seed": 1, "chunk_size": 10, field: True}
+    with pytest.raises(InvalidParameterError) as exc:
+        TrialConfig(make_config(1, 10.0), **kwargs)
+    assert str(exc.value) == message
+
+
 def test_simulate_rejects_bad_worker_count():
-    for workers in (0, 2.5, "2"):
+    for workers in (0, 2.5, "2", True):
         with pytest.raises(InvalidParameterError):
             simulate(TrialConfig(make_config(1, 10.0), trials=10, seed=1),
                      workers=workers)

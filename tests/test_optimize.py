@@ -52,6 +52,7 @@ def test_optimize_restates_no_rate():
 def test_exact_cutoff_names_n_sections_for_a_bad_count():
     bad_count = r"^n_sections must be an integer >= 1, got 0$"
     for call in (lambda: max_distance_exact(0, CHANNEL, DETECTOR),
+                 lambda: max_distance_approx(0, CHANNEL, DETECTOR),
                  lambda: threshold_distance(0, CHANNEL, DETECTOR),
                  lambda: detector_sweep(400.0, [0], GOOD_LINE, [0.1],
                                         CHANNEL)):
@@ -290,6 +291,18 @@ def test_detector_sweep_single_point_grid():
     result = detector_sweep(200.0, [4], GOOD_LINE, [0.2], CHANNEL)
     assert len(result.points) == 1
     assert result.best_by_n[4] == result.points[0]
+
+
+def test_detector_sweep_ties_go_to_the_smaller_efficiency():
+    # every rate is 0 at 2000 km, so the descending grid's last point wins
+    result = detector_sweep(2000.0, [4], GOOD_LINE, [0.2, 0.1], CHANNEL)
+    assert {p.rate for p in result.points} == {0.0}
+    assert result.best_by_n[4].eta == 0.1
+
+
+def test_optimize_builds_no_relay_config():
+    # the sweep checks its distance with the params rule, not with a config
+    assert "RelayConfig" not in vars(optimize)
 
 
 def test_detector_sweep_rejects_empty_grids():
