@@ -8,10 +8,11 @@ parameter error.  Output is byte-stable for identical flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from itertools import islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 
 from . import model, montecarlo, optimize
@@ -24,11 +25,13 @@ from .params import (DEFAULT_ALPHA_DB_PER_KM, DEFAULT_DARK_PROB, DEFAULT_ETA,
 # Points per distance or efficiency axis; checked before a grid is built.
 MAX_GRID_POINTS = 1_000_000
 # Table rows encoded per block: bounds the cells held while a grid streams.
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 256
 # Exponents of ``_fmt`` text that ``_json_float`` passes to ``repr``, which
 # writes 1e10..1e15 positionally and may round the range's ends differently.
 _REPR_EXPONENTS = frozenset(f"e{e:+d}" for e in (*range(-324, -307),
                                                   *range(10, 16), 308))
+# CSV %-specs of all-int and all-float columns, equal to ``_csv_field``.
+_CSV_SPECS = {frozenset([int]): "%d", frozenset([float]): "%.10g"}
 
 _DEFAULTS = {
     "alpha": DEFAULT_ALPHA_DB_PER_KM,
@@ -87,30 +90,41 @@ def _json(obj, pad: str = "") -> str:
 
 def _encode_column(fmt: str, column: tuple):
     """The cells of one column as ``fmt`` writes them: all-float and all-int
-    columns in one pass each, any other value by ``_csv_field`` or ``_json``."""
+    JSON columns in one pass each, any other value by its per-value rule."""
+    if fmt == "csv":
+        return map(_csv_field, column)
     kinds = set(map(type, column))
     if kinds == {float}:
-        return (map(format, column, repeat(".10g")) if fmt == "csv"
-                else map(_json_float, column))
-    return map(str if kinds == {int} else
-               _csv_field if fmt == "csv" else _json, column)
+        return map(_json_float, column)
+    return map(str if kinds == {int} else _json, column)
 
 
-def _encoded_rows(fmt: str, rows):
-    """The cell texts of each row, encoded a column at a time in blocks of
-    ``_BLOCK_ROWS`` rows, so that a streamed grid is never held whole."""
+def _encoded_blocks(fmt: str, header: list[str], rows):
+    """Each block of ``_BLOCK_ROWS`` rows (a streamed grid is never held whole)
+    as one %-format of a row template as wide as the block: CSV lines with
+    typed columns written from raw values, or JSON objects keyed by header."""
     rows = iter(rows)
     while block := list(islice(rows, _BLOCK_ROWS)):
-        yield from zip(*[_encode_column(fmt, col) for col in zip(*block)])
+        specs, cells = [], []
+        for col in zip(*block):
+            spec = fmt == "csv" and _CSV_SPECS.get(frozenset(map(type, col)))
+            specs.append(spec or "%s")
+            cells.append(col if spec else tuple(_encode_column(fmt, col)))
+        if fmt == "csv":
+            row, sep = ",".join(specs), "\n"
+        else:
+            row, sep = "    {\n" + ",\n".join(
+                "      " + json.dumps(k).replace("%", "%%") + ": " + spec
+                for k, spec in zip(header, specs)) + "\n    }", ",\n"
+        yield sep.join([row] * len(block)) % tuple(
+            chain.from_iterable(zip(*cells)))
 
 
 def _json_rows(header: list[str], rows) -> str:
     """Row objects as ``_json`` nests them one level deep, with each key
-    encoded once per table instead of once per row."""
-    keys = ["      " + json.dumps(k) + ": " for k in header]
-    objects = ["    {\n" + ",\n".join(map(str.__add__, keys, cells))
-               + "\n    }" for cells in _encoded_rows("json", rows)]
-    return "[\n" + ",\n".join(objects) + "\n  ]" if objects else "[]"
+    encoded once per block instead of once per row."""
+    blocks = list(_encoded_blocks("json", header, rows))
+    return "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
 
 
 def _table(fmt: str, params: dict, header: list[str], rows,
@@ -133,7 +147,7 @@ def _table(fmt: str, params: dict, header: list[str], rows,
             for key, value in fields.items()) + "\n}\n"
     lines = ["# " + " ".join(k + "=" + _fmt(v) for k, v in params.items()),
              *(comments or []), ",".join(header),
-             *map(",".join, _encoded_rows("csv", rows))]
+             *_encoded_blocks("csv", header, rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -437,9 +451,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         params = _resolve_params(args)
         channel = ChannelParams(params["alpha"], params["vopt"])

@@ -213,5 +213,6 @@ def source_penalty(m_sources: int, emission_prob: float,
     require_fraction("emission_prob", emission_prob)
     require_finite("alpha", alpha)
     rate_factor = emission_prob ** m_sources
-    distance_loss = (10.0 * m_sources / alpha) * math.log10(1.0 / emission_prob)
-    return SourcePenalty(rate_factor, distance_loss)
+    # not log10(1 / p), which overflows below p ~ 5.6e-309; 0.0 - keeps +0.0
+    log_loss = 0.0 - math.log10(emission_prob)
+    return SourcePenalty(rate_factor, (10.0 * m_sources / alpha) * log_loss)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,9 @@ import pytest
 
 import qkdrelay
 from qkdrelay import ChannelParams, DetectorParams, RelayConfig, link_metrics
+from qkdrelay import cli
 from qkdrelay.cli import inclusive_grid, main, parse_sections
+from test_cli_json import random_floats, reference
 
 
 def run_cli(capsys, *argv):
@@ -475,12 +478,93 @@ def test_source_penalty_csv(capsys):
     assert rows[0] == ["1", "0.1", "0.1", "40"]
 
 
+@pytest.mark.parametrize("prob,row", [
+    ("1", ["2", "1", "1", "0"]),
+    ("1e-320", ["2", "9.999888672e-321", "0", "25600.00039"]),
+])
+def test_source_penalty_csv_at_extreme_emission_probs(capsys, prob, row):
+    code, out, _ = run_cli(capsys, "source-penalty", "--sources", "2",
+                           "--emission-prob", prob)
+    assert code == 0
+    assert csv_rows(out)[1] == [row]
+
+
 def test_source_penalty_honors_alpha_override(capsys):
     code, out, _ = run_cli(capsys, "source-penalty", "--sources", "1",
                            "--alpha", "0.2", "--format", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["distance_loss_km"] == pytest.approx(50.0)
+
+
+# ------------------------------------------------------------ table encoding
+
+def test_csv_templates_match_the_per_value_rule():
+    floats = random_floats(random.Random(20261020), 1_000_000)
+    k = cli._BLOCK_ROWS
+    rows = list(zip(range(-500_000, 500_000), floats))
+    # the third column is all-float in even blocks and mixes None, int and
+    # float in odd ones, so both the typed and the %s templates run
+    mixed = [(n, x, x if i // k % 2 == 0 else (None, n << 64, x)[i % 3])
+             for i, (n, x) in enumerate(rows[:8 * k + 3])]
+    for table in (rows, mixed, mixed[:k - 1], mixed[:k + 1],
+                  mixed[3 * k - 5:]):
+        header = ["a", "b", "c"][:len(table[0])]
+        lines = cli._table("csv", {"alpha": 0.25}, header, table).split("\n")
+        want = ["# alpha=0.25", ",".join(header),
+                *(",".join(map(cli._csv_field, row)) for row in table), ""]
+        assert len(lines) == len(want)
+        # a list of the first mismatches keeps a failure's report short
+        assert [(a, b) for a, b in zip(lines, want) if a != b][:3] == []
+
+
+def test_percent_signs_in_header_keys_are_literal():
+    header = ["a%s", "%%", "%(x)d", "%"]
+    rows = [(1, 0.5, None, "s%s"), (-2, 1e300, True, -0.0), (3, 2.0, 4, "%")]
+    want = json.dumps(reference([dict(zip(header, row)) for row in rows]),
+                      indent=2).replace("\n", "\n  ")
+    assert cli._json_rows(header, rows) == want
+    text = cli._table("csv", {}, header, [row[:3] for row in rows])
+    assert text.split("\n")[1:] == ["a%s,%%,%(x)d,%", "1,0.5,",
+                                    "-2,1e+300,True", "3,2,4", ""]
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    from qkdrelay import montecarlo
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["source-penalty", "--sources", "1"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+    # a fresh build_parser still reads module constants when called
+    monkeypatch.setattr(montecarlo, "Z_THRESHOLD", 2.5)
+    assert "|z| > 2.5)" in " ".join(build().format_help().split())
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(qkdrelay.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = "\n".join([
+        "import argparse",
+        "built = []",
+        "init = argparse.ArgumentParser.__init__",
+        "argparse.ArgumentParser.__init__ = (",
+        "    lambda self, *a, **k: built.append(1) or init(self, *a, **k))",
+        "import qkdrelay.cli",
+        "print(len(built))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 # ------------------------------------------------- parameters, files, plumbing

@@ -1,4 +1,5 @@
 import ast
+import decimal
 import hashlib
 import math
 import random
@@ -348,6 +349,15 @@ def test_source_penalty_perfect_source_costs_nothing():
     penalty = source_penalty(5, 1.0, 0.25)
     assert penalty.rate_factor == 1.0
     assert penalty.distance_loss_km == 0.0
+
+
+def test_source_penalty_tiny_emission_probability_stays_finite():
+    # 1 / p overflows to inf below p ~ 5.6e-309
+    penalty = source_penalty(2, 1e-320, 0.25)
+    want = -80.0 * float(decimal.Decimal(1e-320).log10())
+    assert penalty.distance_loss_km == pytest.approx(want, rel=1e-12)
+    perfect = source_penalty(2, 1.0, 0.25).distance_loss_km
+    assert math.copysign(1.0, perfect) == 1.0
 
 
 @pytest.mark.parametrize("m,p,alpha", [
