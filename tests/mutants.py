@@ -33,6 +33,10 @@ MUTANTS = [
      "genuine = s * (1.0 - dk)", "genuine = s"),
     ("src/qkdrelay/montecarlo.py",
      "all_genuine &= both & resolved", "all_genuine &= both"),
+    # a short last block still draws a whole buffer, so every later station
+    # reads its uniforms from the wrong stream positions
+    ("src/qkdrelay/montecarlo.py",
+     "rng.random(len(u), out=u)", "rng.random(len(buf), out=buf)"),
     ("src/qkdrelay/model.py",
      'return 1 if reconciliation == "reverse" else 0', "return 0"),
     ("src/qkdrelay/optimize.py",

@@ -1,5 +1,8 @@
 import ast
+import hashlib
+import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,21 +112,62 @@ def test_zero_accepted_yields_nan_visibility():
 
 
 def test_chunk_stops_drawing_once_every_pulse_is_rejected(monkeypatch):
-    # 1000 Bell stations of 4 draws each (4004 draws in all); with eta = 0.3
-    # a station passes a pulse with probability under 0.05, so all 10 pulses
-    # are gone after a station or two, and the counts cannot change after that
-    draws = []
+    # 1000 Bell stations of 4 draws each (40,040 uniforms for 10 pulses);
+    # with eta = 0.3 a station passes a pulse with probability under 0.05, so
+    # all 10 pulses are gone after a station or two, and the counts cannot
+    # change after that
+    drawn = []
 
     class CountingGenerator(np.random.Generator):
         def random(self, *args, **kwargs):
-            draws.append(1)
-            return super().random(*args, **kwargs)
+            values = super().random(*args, **kwargs)
+            drawn.append(np.size(values))
+            return values
 
     monkeypatch.setattr(np.random, "Generator", CountingGenerator)
     est = simulate(TrialConfig(RelayConfig(2001, 50.0), trials=10, seed=1,
                                chunk_size=10))
     assert (est.accepted, est.correct) == (0, 0)
-    assert 0 < len(draws) < 100
+    assert 0 < sum(drawn) < 1000
+
+
+# sha256 of the JSON list of _run_chunk's (accepted, correct) over the
+# mc-validation cells (n in 1, 2, 3, 4, 6, 18 by d in 0, 100, 200 km) under
+# the Philox keys (1, 0) and (2**64 - 1, 7), per chunk size.  The sizes sit on
+# either side of the 2**15 uniforms that a station reads per block; the
+# digests were taken from the kernel that drew each station in one array.
+FROZEN_CHUNK_COUNTS = {
+    1: "67a9dd131d8136909388c8e91686f0176a06924747f8c8caa8537daa9dd29c5a",
+    32767: "bbebbda1814151e239bdb77df8187a85a96d9de4266052aaee0f5ff353ab6e2b",
+    32768: "4f0facf3e947c5e993c6d5a0a8213459c3b52ef13e1ccb26c5aace00aea733a6",
+    32769: "9676ccd405da66de0d2fa3962a3ddced160a4d5615c134bcc8baf2ed84c1afa4",
+    98311: "f78a0a5471c183b9629c87a4359c5cbd4a59080b0c3e73a72a9b05d861dd532d",
+    250000: "a35b6c1661fcb94c99a25c768951ded1e4b2b06ef4566456397b5aad640e92c6",
+}
+
+
+@pytest.mark.parametrize("size", sorted(FROZEN_CHUNK_COUNTS))
+def test_chunk_counts_frozen_across_block_edges(size):
+    counts = [montecarlo._run_chunk(RelayConfig(n, d), size, seed, chunk)
+              for n in (1, 2, 3, 4, 6, 18) for d in (0.0, 100.0, 200.0)
+              for seed, chunk in ((1, 0), (2 ** 64 - 1, 7))]
+    digest = hashlib.sha256(json.dumps(counts).encode()).hexdigest()
+    assert digest == FROZEN_CHUNK_COUNTS[size]
+
+
+@pytest.mark.parametrize("n", [1, 6, 18])
+def test_chunk_memory_stays_under_16_bytes_per_pulse(n):
+    # one byte per pulse for each comparison mask; the uniforms are read a
+    # block at a time, so no float64 array of the chunk's size is held
+    size = 2 ** 20
+    montecarlo._run_chunk(RelayConfig(n, 0.0), 10, 1, 0)   # warm numpy up
+    tracemalloc.start()
+    try:
+        montecarlo._run_chunk(RelayConfig(n, 0.0), size, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * size
 
 
 def test_generator_metadata_names_the_substream_scheme():
